@@ -120,28 +120,6 @@ void BM_MmsimFusedVsUnfused(benchmark::State& state) {
 BENCHMARK(BM_MmsimFusedVsUnfused)
     ->ArgsProduct({{8000, 32000, 64000}, {0, 1}, {0, 1}});
 
-// Wall-clock to convergence of the full-double iterate against the opt-in
-// mixed-precision iterate (float32 fused half-steps, float64 residual
-// checkpoints, double polish; arg 1: 0 = double, 1 = mixed). Mixed has no
-// bitwise contract — the deliverable is the same converged placement to
-// solver tolerance in less time, so this measures end-to-end solve
-// seconds, not per-iteration cost.
-void BM_MmsimPrecision(benchmark::State& state) {
-  db::Design design = cached_design(static_cast<std::size_t>(state.range(0)));
-  const legal::RowAssignment rows = legal::assign_rows(design);
-  const legal::LegalizationModel model = legal::build_model(design, rows);
-  lcp::MmsimOptions options;
-  options.precision = state.range(1) != 0 ? lcp::MmsimPrecision::kMixed
-                                          : lcp::MmsimPrecision::kDouble;
-  const lcp::MmsimSolver solver(model.qp, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve());
-  }
-  state.SetComplexityN(state.range(0));
-  state.SetLabel(state.range(1) != 0 ? "mixed" : "double");
-}
-BENCHMARK(BM_MmsimPrecision)->ArgsProduct({{8000, 64000}, {0, 1}});
-
 // CSR sparse engine: one fused two-vector traversal (multiply_add2) against
 // the two sequential single-vector products it replaces — the access
 // pattern of the MMSIM rhs accumulation. arg 1: 0 = sequential pair,
@@ -235,11 +213,6 @@ void BM_SolveMonolithic(benchmark::State& state) {
   solve_partitioned(state, legal::PartitionMode::kOff);
 }
 BENCHMARK(BM_SolveMonolithic)->Range(1000, 16000);
-
-void BM_SolvePartitionMatch(benchmark::State& state) {
-  solve_partitioned(state, legal::PartitionMode::kMatch);
-}
-BENCHMARK(BM_SolvePartitionMatch)->Range(1000, 16000);
 
 void BM_SolvePartitionTiered(benchmark::State& state) {
   solve_partitioned(state, legal::PartitionMode::kTiered);

@@ -1,16 +1,14 @@
 // Production-scale memory/time sweep (ROADMAP open item 3).
 //
-// Records cells vs. build/partition/solve time vs. peak RSS for the
-// 1M–10M-cell scale families of gen::generate_scale_design, comparing the
-// streamed memory spine (streaming CSR assembly with the union-find folded
-// in, component-at-a-time tiered scheduling) against the pre-refactor
-// baseline layout (monolithic COO staging, separate partition walk, all
-// component problems materialized up front).
+// Records cells vs. build/solve time vs. peak RSS for the 1M–10M-cell scale
+// families of gen::generate_scale_design on the production memory spine:
+// streaming CSR assembly with the union-find folded in, then the tiered
+// solve, which extracts and releases one component per worker.
 //
 // Peak RSS (getrusage ru_maxrss) is monotone over a process's lifetime, so
 // one process can measure at most one data point: the driver re-execs
-// itself once per point (`--point <variant> <cells> <engine>`) and each
-// child prints a single table row. The child mode doubles as the
+// itself once per point (`--point <variant> <cells>`) and each child
+// prints a single table row. The child mode doubles as the
 // `ulimit -v` bigmem smoke in tools/verify.sh.
 //
 // Knobs: MCH_SCALE_POINTS=small|full (default full) picks the sweep size;
@@ -47,44 +45,22 @@ gen::ScaleVariant parse_variant(const std::string& name) {
 
 /// One measured point, executed in a child process so ru_maxrss reflects
 /// this point alone. Prints exactly one row to stdout.
-int run_point(const std::string& variant_name, std::size_t cells,
-              const std::string& engine) {
-  const bool streamed = engine == "streamed";
-  if (!streamed && engine != "legacy") {
-    std::fprintf(stderr, "unknown engine '%s' (streamed|legacy)\n",
-                 engine.c_str());
-    return 2;
-  }
+int run_point(const std::string& variant_name, std::size_t cells) {
   const gen::ScaleVariant variant = parse_variant(variant_name);
   db::Design design =
       gen::generate_scale_design(variant, cells, bench::bench_seed());
   const legal::RowAssignment base_rows = legal::assign_rows(design);
 
-  // Model build + partition. The streamed engine assembles B directly into
-  // CSR with the union-find riding on the constraint stream, so its
-  // partition cost is folded into the build; the legacy engine stages the
-  // whole design through COO and then walks the finished model again.
+  // Model build: B is assembled directly into CSR with the union-find
+  // riding on the constraint stream, so the partition comes out of the
+  // build.
   Timer build_timer;
-  legal::LegalizationModel model;
   legal::ConstraintPartition partition;
-  double build_seconds = 0.0;
-  double partition_seconds = 0.0;
-  if (streamed) {
-    model = legal::build_model(design, base_rows, {}, &partition);
-    build_seconds = build_timer.seconds();
-  } else {
-    model = legal::build_model_monolithic(design, base_rows);
-    build_seconds = build_timer.seconds();
-    Timer partition_timer;
-    partition = legal::partition_model(model);
-    partition_seconds = partition_timer.seconds();
-  }
+  const legal::LegalizationModel model =
+      legal::build_model(design, base_rows, {}, &partition);
+  const double build_seconds = build_timer.seconds();
 
-  // Tiered per-component solve: component-at-a-time for the streamed
-  // engine, the legacy extract-everything layout otherwise.
   legal::MmsimLegalizerOptions options;
-  options.partition = legal::PartitionMode::kTiered;
-  options.component_at_a_time = streamed;
   options.prebuilt_model = &model;
   options.prebuilt_partition = &partition;
   Timer solve_timer;
@@ -100,11 +76,10 @@ int run_point(const std::string& variant_name, std::size_t cells,
   const db::LegalityReport report = db::check_legality(design);
   const bool legal = report.legal() && allocation.unplaced_cells == 0;
 
-  std::printf("%-16s %9zu %-8s %9.2f %9.2f %9.2f %9.2f %9zu %5s %11.1f\n",
-              variant_name.c_str(), design.num_cells(), engine.c_str(),
-              build_seconds, partition_seconds, solve_seconds,
-              allocate_seconds, stats.num_components, legal ? "yes" : "NO",
-              util::peak_rss_mb());
+  std::printf("%-16s %9zu %9.2f %9.2f %9.2f %9zu %5s %11.1f\n",
+              variant_name.c_str(), design.num_cells(), build_seconds,
+              solve_seconds, allocate_seconds, stats.num_components,
+              legal ? "yes" : "NO", util::peak_rss_mb());
   std::fflush(stdout);
   return legal && stats.converged ? 0 : 1;
 }
@@ -112,20 +87,17 @@ int run_point(const std::string& variant_name, std::size_t cells,
 struct Point {
   const char* variant;
   std::size_t cells;
-  const char* engine;
 };
 
 int run_driver(const char* self) {
   bench::print_bench_banner("scaling_memory");
   std::printf(
       "# One child process per row (peak RSS is per-process-monotone):\n"
-      "#   %s --point <variant> <cells> <engine>\n"
-      "# build   = model assembly (streamed: CSR + union-find in one pass)\n"
-      "# part    = separate partition walk (legacy engine only)\n"
-      "# legacy  = pre-refactor layout: COO staging + extract-all solve\n"
-      "%-16s %9s %-8s %9s %9s %9s %9s %9s %5s %11s\n",
-      self, "variant", "cells", "engine", "build_s", "part_s", "solve_s",
-      "alloc_s", "comps", "legal", "peak_rss_mb");
+      "#   %s --point <variant> <cells>\n"
+      "# build   = model assembly (CSR + union-find in one pass)\n"
+      "%-16s %9s %9s %9s %9s %9s %5s %11s\n",
+      self, "variant", "cells", "build_s", "solve_s", "alloc_s", "comps",
+      "legal", "peak_rss_mb");
   // Children inherit this process's stdout and flush their own rows; when
   // stdout is a file (the snapshot) the banner would otherwise sit in the
   // parent's full buffer until exit and land *after* every row.
@@ -136,25 +108,18 @@ int run_driver(const char* self) {
     return env != nullptr && std::strcmp(env, "small") == 0;
   }();
 
-  // The legacy engine is measured only up to 1M cells — it is the baseline
-  // the acceptance bar compares against; running its COO staging at 10M is
-  // exactly the peak-RSS wall this refactor removes.
-  const std::array<Point, 9> full_points = {{
-      {"baseline", 1000000, "legacy"},
-      {"baseline", 1000000, "streamed"},
-      {"baseline", 2000000, "streamed"},
-      {"baseline", 5000000, "streamed"},
-      {"baseline", 10000000, "streamed"},
-      {"obstacle-heavy", 1000000, "legacy"},
-      {"obstacle-heavy", 1000000, "streamed"},
-      {"high-utilization", 1000000, "legacy"},
-      {"high-utilization", 1000000, "streamed"},
+  const std::array<Point, 6> full_points = {{
+      {"baseline", 1000000},
+      {"baseline", 2000000},
+      {"baseline", 5000000},
+      {"baseline", 10000000},
+      {"obstacle-heavy", 1000000},
+      {"high-utilization", 1000000},
   }};
-  const std::array<Point, 4> small_points = {{
-      {"baseline", 100000, "legacy"},
-      {"baseline", 100000, "streamed"},
-      {"obstacle-heavy", 100000, "streamed"},
-      {"high-utilization", 100000, "streamed"},
+  const std::array<Point, 3> small_points = {{
+      {"baseline", 100000},
+      {"obstacle-heavy", 100000},
+      {"high-utilization", 100000},
   }};
 
   const Point* points = small ? small_points.data() : full_points.data();
@@ -163,17 +128,16 @@ int run_driver(const char* self) {
   int worst = 0;
   bench::JsonSnapshot json("scaling_memory");
   for (std::size_t i = 0; i < count; ++i) {
-    std::string command = std::string(self) + " --point " + points[i].variant +
-                          " " + std::to_string(points[i].cells) + " " +
-                          points[i].engine;
+    const std::string command = std::string(self) + " --point " +
+                                points[i].variant + " " +
+                                std::to_string(points[i].cells);
     Timer point_timer;
     const int rc = std::system(command.c_str());
     // Whole-child wall clock (generate + build + solve + allocate +
     // check); the per-phase seconds and the per-point peak RSS are in the
     // child's text row — ru_maxrss is per-process, so the parent cannot
     // report it here.
-    json.add(std::string(points[i].variant) + "/" + points[i].engine,
-             points[i].cells, point_timer.seconds());
+    json.add(points[i].variant, points[i].cells, point_timer.seconds());
     if (rc != 0) {
       std::printf("# point failed (rc %d): %s\n", rc, command.c_str());
       std::fflush(stdout);
@@ -188,15 +152,12 @@ int run_driver(const char* self) {
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--point") == 0) {
-    if (argc != 5) {
-      std::fprintf(stderr,
-                   "usage: %s --point <variant> <cells> <engine>\n", argv[0]);
+    if (argc != 4) {
+      std::fprintf(stderr, "usage: %s --point <variant> <cells>\n", argv[0]);
       return 2;
     }
-    return run_point(argv[2],
-                     static_cast<std::size_t>(std::strtoull(argv[3], nullptr,
-                                                            10)),
-                     argv[4]);
+    return run_point(argv[2], static_cast<std::size_t>(
+                                  std::strtoull(argv[3], nullptr, 10)));
   }
   mch::bench::bench_threads(argc, argv);
   return run_driver(argv[0]);

@@ -17,8 +17,8 @@
 // The --multi mode drives the two-level scheduler with a queue of many
 // heterogeneous designs (default 120, sized 400–2400 cells): first a
 // single client submits every design serially, then num-clients client
-// threads drain the same queue concurrently, each request served through
-// its own match-mode LegalizationSession on the shared worker pool. Every
+// threads drain the same queue concurrently, each request served as a full
+// solve through its own LegalizationSession on the shared worker pool. Every
 // request's positions must hash bitwise-identical across the two phases
 // (and, sampled, to the one-shot legal::legalize), and the wall-clock
 // ratio must show >= 0.7 parallel efficiency against the machine's core
@@ -105,13 +105,13 @@ struct ServedRequest {
   bool legal = false;
 };
 
-/// One queue entry end to end: generate the design, serve it through a
-/// fresh match-mode session, and hash the positions.
+/// One queue entry end to end: generate the design, serve it as a full
+/// solve through a fresh session, and hash the positions.
 ServedRequest serve_multi_design(std::size_t r) {
   mch::service::LegalizationSession session(make_multi_design(r));
   mch::Timer timer;
   const mch::service::SessionResult result =
-      session.full_legalize(mch::service::SolveMode::kMatch);
+      session.full_legalize(mch::service::SolveMode::kFull);
   ServedRequest served;
   served.seconds = timer.seconds();
   served.legal = result.legal;
@@ -140,7 +140,7 @@ int run_multi_client(std::size_t num_designs, std::size_t num_clients) {
   // Phase 1 — single-client serial submission: the baseline every
   // efficiency claim is measured against, and the reference hash per
   // request. Sampled requests are also checked against the one-shot
-  // legal::legalize (the session's match-mode bitwise contract).
+  // legal::legalize (the session's full-solve bitwise contract).
   std::vector<ServedRequest> serial(num_designs);
   std::size_t illegal = 0;
   std::size_t hash_mismatches = 0;
@@ -153,9 +153,7 @@ int run_multi_client(std::size_t num_designs, std::size_t num_clients) {
   const double serial_seconds = serial_timer.seconds();
   for (std::size_t r = 0; r < num_designs; r += scratch_every) {
     db::Design copy = make_multi_design(r);
-    legal::FlowOptions options;
-    options.solver.partition = legal::PartitionMode::kMatch;
-    const legal::FlowResult scratch = legal::legalize(copy, options);
+    const legal::FlowResult scratch = legal::legalize(copy);
     if (!scratch.legal) ++illegal;
     if (position_hash(copy) != serial[r].hash) {
       std::printf("FAIL: request %zu differs from one-shot legalize\n", r);
@@ -326,12 +324,18 @@ int main(int argc, char** argv) {
 
   const db::Chip& chip = session.design().chip();
   Rng rng(bench::bench_seed() + 1234);
+  // A cell erased earlier in the batch is not picked again: the session
+  // rejects a batch that touches an erased cell.
+  std::vector<std::size_t> erased_in_batch;
   const auto pick_live_movable = [&]() -> std::size_t {
     for (;;) {
       const auto id = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(session.design().num_cells()) - 1));
       const db::Cell& cell = session.design().cells()[id];
-      if (!cell.fixed && !cell.erased) return id;
+      if (!cell.fixed && !cell.erased &&
+          std::find(erased_in_batch.begin(), erased_in_batch.end(), id) ==
+              erased_in_batch.end())
+        return id;
     }
   };
 
@@ -350,6 +354,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t req = 0; req < num_requests; ++req) {
     service::EcoRequest request;
+    erased_in_batch.clear();
     for (std::size_t k = 0; k < ops_per_request; ++k) {
       const double roll = rng.uniform();
       if (roll < 0.90) {
@@ -364,7 +369,8 @@ int main(int argc, char** argv) {
         payload.gp_y = rng.uniform(0.0, chip.height());
         request.ops.push_back(service::EcoOp::insert(payload));
       } else {
-        request.ops.push_back(service::EcoOp::erase(pick_live_movable()));
+        erased_in_batch.push_back(pick_live_movable());
+        request.ops.push_back(service::EcoOp::erase(erased_in_batch.back()));
       }
     }
 

@@ -85,8 +85,6 @@ RunResult run_legalizer(db::Design& design, Legalizer which,
         result.solver_mean_component = served.solver.mean_component_size;
         result.solver_component_iterations =
             served.solver.component_iterations;
-        result.solver_mixed_iterations = served.solver.mixed_iterations;
-        result.solver_precision = served.solver.precision_used;
         result.solver_simd = served.solver.simd_level;
         result.solver_recovery = served.solver.recovery;
         result.session_dirty_components = served.session.components_dirty;
@@ -107,8 +105,6 @@ RunResult run_legalizer(db::Design& design, Legalizer which,
       result.solver_max_component = flow.solver.max_component_size;
       result.solver_mean_component = flow.solver.mean_component_size;
       result.solver_component_iterations = flow.solver.component_iterations;
-      result.solver_mixed_iterations = flow.solver.mixed_iterations;
-      result.solver_precision = flow.solver.precision_used;
       result.solver_simd = flow.solver.simd_level;
       result.solver_recovery = flow.solver.recovery;
       break;

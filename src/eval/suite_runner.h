@@ -72,11 +72,7 @@ struct RunResult {
   double solver_mean_component = 0.0;          ///< mean component n + m
   std::size_t solver_component_iterations = 0; ///< summed over components
 
-  /// Mixed-precision attribution: iterations the float32 prelude
-  /// contributed, the iterate precision that actually ran (after the
-  /// legalizer's mode gate), and the active SIMD dispatch level.
-  std::size_t solver_mixed_iterations = 0;
-  lcp::MmsimPrecision solver_precision = lcp::MmsimPrecision::kDouble;
+  /// The active SIMD dispatch level.
   linalg::SimdLevel solver_simd = linalg::SimdLevel::kScalar;
 
   /// Escalation-ladder activity (legal::RecoveryStats): all-zero on the

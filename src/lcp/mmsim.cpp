@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 #include "lcp/mmsim_kernels.h"
@@ -14,7 +13,6 @@
 #include "runtime/parallel.h"
 #include "runtime/scratch.h"
 #include "util/check.h"
-#include "util/log.h"
 #include "util/timer.h"
 
 namespace mch::lcp {
@@ -55,7 +53,6 @@ class PhaseTimer {
 };
 
 double fold_max(double a, double b) { return std::max(a, b); }
-float fold_max_f(float a, float b) { return std::max(a, b); }
 
 }  // namespace
 
@@ -70,17 +67,6 @@ bool fused_kernels_default() {
     if (value == "0" || value == "off" || value == "false") return false;
   }
   return true;
-}
-
-MmsimPrecision precision_default() {
-  if (const char* env = std::getenv("MCH_PRECISION")) {
-    const std::string value(env);
-    if (value == "mixed") return MmsimPrecision::kMixed;
-    if (!value.empty() && value != "double")
-      MCH_LOG(kWarn) << "unrecognized MCH_PRECISION value '" << value
-                     << "', using double";
-  }
-  return MmsimPrecision::kDouble;
 }
 
 Tridiagonal schur_tridiagonal(const BlockDiagMatrix& k, const CsrMatrix& b,
@@ -200,31 +186,6 @@ MmsimSolver::MmsimSolver(const StructuredQp& qp, const MmsimOptions& options,
     }
   }
 
-  // Mixed mode needs the gather2 fused machinery; anything else (reference
-  // path, wide rows, empty systems) silently stays full double.
-  mixed_active_ = opts_.precision == MmsimPrecision::kMixed && gather2_;
-  if (mixed_active_) {
-    const auto to_f = [](const auto& src, linalg::AlignedVector<float>& dst) {
-      dst.resize(src.size());
-      for (std::size_t i = 0; i < src.size(); ++i)
-        dst[i] = static_cast<float>(src[i]);
-    };
-    to_f(qp_.K.scalar_values(), kv_f_);
-    to_f(shifted_k_.scalar_inverses(), siv_f_);
-    to_f(qp_.p, p_f_);
-    to_f(qp_.b, b_f_);
-    to_f(bt_g2_->v0, bt_v0f_);
-    to_f(bt_g2_->v1, bt_v1f_);
-    to_f(b_g2_->v0, b_v0f_);
-    to_f(b_g2_->v1, b_v1f_);
-    to_f(gb_vals_, gb_vals_f_);
-    to_f(d_.diag_data(), diag_f_);
-    to_f(d_.lower_data(), lower_f_);
-    to_f(d_.upper_data(), upper_f_);
-    to_f(shifted_d_lu_.c_prime(), c_prime_f_);
-    to_f(shifted_d_lu_.inv_pivot(), inv_pivot_f_);
-    to_f(shifted_d_lu_.g(), g_f_);
-  }
   profile_ = qp_.lcp_size() >= kPhaseProfileMinSize;
   setup_seconds_ = timer.seconds();
 }
@@ -257,40 +218,25 @@ MmsimResult MmsimSolver::solve() const {
   return solve_from(Vector(qp_.lcp_size(), 0.0));
 }
 
-void MmsimResidualPartials::merge_max(const MmsimResidualPartials& other) {
-  z_norm = std::max(z_norm, other.z_norm);
-  w_norm = std::max(w_norm, other.w_norm);
-  z_negativity = std::max(z_negativity, other.z_negativity);
-  w_negativity = std::max(w_negativity, other.w_negativity);
-  complementarity = std::max(complementarity, other.complementarity);
-}
-
-MmsimResidualPartials MmsimSolver::residual_partials(const Vector& z) const {
+bool MmsimSolver::scaled_residual_ok(const Vector& z) const {
   Vector w;
   qp_.lcp_apply(z, w);
-  MmsimResidualPartials partials;
-  partials.z_norm = linalg::norm_inf(z);
-  partials.w_norm = linalg::norm_inf(w);
+  // Keep the norms ahead of the loop: taking them after it measured ~15%
+  // slower end to end (BM_MmsimSolveToConvergence/4096, one thread).
+  const double tolerance = opts_.residual_tolerance;
+  const double scale_z = 1.0 + linalg::norm_inf(z);
+  const double scale_w = 1.0 + linalg::norm_inf(w);
+  double z_negativity = 0.0;     // max(0, −z_i)
+  double w_negativity = 0.0;     // max(0, −w_i)
+  double complementarity = 0.0;  // max |z_i·w_i|
   for (std::size_t i = 0; i < z.size(); ++i) {
-    partials.z_negativity = std::max(partials.z_negativity, -z[i]);
-    partials.w_negativity = std::max(partials.w_negativity, -w[i]);
-    partials.complementarity =
-        std::max(partials.complementarity, std::abs(z[i] * w[i]));
+    z_negativity = std::max(z_negativity, -z[i]);
+    w_negativity = std::max(w_negativity, -w[i]);
+    complementarity = std::max(complementarity, std::abs(z[i] * w[i]));
   }
-  return partials;
-}
-
-bool MmsimSolver::residual_ok(const MmsimResidualPartials& partials,
-                              double tolerance) {
-  const double scale_z = 1.0 + partials.z_norm;
-  const double scale_w = 1.0 + partials.w_norm;
-  return partials.z_negativity <= tolerance * scale_z &&
-         partials.w_negativity <= tolerance * scale_w &&
-         partials.complementarity <= tolerance * scale_z * scale_w;
-}
-
-bool MmsimSolver::scaled_residual_ok(const Vector& z) const {
-  return residual_ok(residual_partials(z), opts_.residual_tolerance);
+  return z_negativity <= tolerance * scale_z &&
+         w_negativity <= tolerance * scale_w &&
+         complementarity <= tolerance * scale_z * scale_w;
 }
 
 MmsimSolver::State MmsimSolver::make_state() const {
@@ -779,297 +725,6 @@ double MmsimSolver::step_fused_impl(State& state) const {
   return delta;
 }
 
-// One float32 fused iteration — the same three sweeps as step_fused_impl
-// with every operand drawn from the float mirrors, plus a float Thomas
-// solve over the converted factor arrays. Only runs on gather2 solvers
-// (mixed_active_), so the kGather2 == false shapes never reach here.
-float MmsimSolver::step_mixed(State& state) const {
-  const std::size_t n = qp_.num_variables();
-  const std::size_t m = qp_.num_constraints();
-  PhaseTimer timer(profile_, state.phase.mixed_seconds);
-
-  auto& fs1 = state.fs1;
-  auto& fs2 = state.fs2;
-  auto& fnew_s1 = state.fnew_s1;
-  auto& fnew_s2 = state.fnew_s2;
-  auto& frhs2 = state.frhs2;
-  const float c1 = static_cast<float>(1.0 / opts_.beta - 1.0);
-  const float inv_theta = static_cast<float>(1.0 / opts_.theta);
-  const float gamma = static_cast<float>(opts_.gamma);
-  const float inv_gamma = static_cast<float>(1.0 / opts_.gamma);
-  float* const fz1 = state.fz.data();
-  float* const fz2 = state.fz.data() + n;
-  const kernels::MmsimSimdKernels* const sk =
-      kernels::mmsim_simd_kernels(linalg::simd_level());
-
-  // Primal half, 1×1-block rows.
-  const kernels::PrimalCtxF pctx{fs1.data(),
-                                 fs2.data(),
-                                 kv_f_.data(),
-                                 siv_f_.data(),
-                                 p_f_.data(),
-                                 bt_v0f_.data(),
-                                 bt_v1f_.data(),
-                                 bt_g2_->c0.data(),
-                                 bt_g2_->c1.data(),
-                                 general_var_.data(),
-                                 fnew_s1.data(),
-                                 fz1,
-                                 c1,
-                                 gamma,
-                                 inv_gamma};
-  float delta = parallel_reduce(
-      std::size_t{0}, n, kGrainElementwise, 0.0f,
-      [&](std::size_t lo, std::size_t hi) {
-        if (sk != nullptr) return sk->primal_f(pctx, lo, hi);
-        float best = 0.0f;
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (general_var_[i]) continue;
-          const float s1i = fs1[i];
-          const float a1 = std::abs(s1i);
-          float g_s2 = 0.0f;
-          float g_abs = 0.0f;
-          g_s2 += bt_v0f_[i] * fs2[bt_g2_->c0[i]];
-          g_abs += bt_v0f_[i] * std::abs(fs2[bt_g2_->c0[i]]);
-          g_s2 += bt_v1f_[i] * fs2[bt_g2_->c1[i]];
-          g_abs += bt_v1f_[i] * std::abs(fs2[bt_g2_->c1[i]]);
-          float r = 0.0f;
-          r += c1 * kv_f_[i] * s1i;
-          r += g_s2;
-          r += a1;
-          r += -1.0f * kv_f_[i] * a1;
-          r += g_abs;
-          r -= gamma * p_f_[i];
-          const float ns = siv_f_[i] * r;
-          fnew_s1[i] = ns;
-          const float zi = (std::abs(ns) + ns) * inv_gamma;
-          best = std::max(best, std::abs(zi - fz1[i]));
-          fz1[i] = zi;
-        }
-        return best;
-      },
-      fold_max_f);
-
-  // Primal half, multi-row blocks (tall cells), float gb tables.
-  const float general_delta = parallel_reduce(
-      std::size_t{0}, gb_off_.size(), kGrainBlocks, 0.0f,
-      [&](std::size_t lo, std::size_t hi) {
-        float best = 0.0f;
-        std::vector<double>& rb =
-            runtime::thread_scratch(0, max_general_rows_);
-        for (std::size_t g = lo; g < hi; ++g) {
-          const std::size_t off = gb_off_[g];
-          const std::size_t bn = gb_dim_[g];
-          const float* const kd = gb_vals_f_.data() + gb_data_[g];
-          const float* const invd = kd + bn * bn;
-          for (std::size_t r = 0; r < bn; ++r) {
-            const std::size_t i = off + r;
-            const float s1i = fs1[i];
-            const float a1 = std::abs(s1i);
-            float g_s2 = 0.0f;
-            float g_abs = 0.0f;
-            g_s2 += bt_v0f_[i] * fs2[bt_g2_->c0[i]];
-            g_abs += bt_v0f_[i] * std::abs(fs2[bt_g2_->c0[i]]);
-            g_s2 += bt_v1f_[i] * fs2[bt_g2_->c1[i]];
-            g_abs += bt_v1f_[i] * std::abs(fs2[bt_g2_->c1[i]]);
-            float acc = 0.0f;
-            float sum = 0.0f;
-            for (std::size_t c = 0; c < bn; ++c)
-              sum += kd[r * bn + c] * fs1[off + c];
-            acc += c1 * sum;
-            acc += g_s2;
-            acc += a1;
-            sum = 0.0f;
-            for (std::size_t c = 0; c < bn; ++c)
-              sum += kd[r * bn + c] * std::abs(fs1[off + c]);
-            acc += -1.0f * sum;
-            acc += g_abs;
-            acc -= gamma * p_f_[i];
-            rb[r] = acc;
-          }
-          for (std::size_t r = 0; r < bn; ++r) {
-            float sum = 0.0f;
-            for (std::size_t c = 0; c < bn; ++c)
-              sum += invd[r * bn + c] * static_cast<float>(rb[c]);
-            fnew_s1[off + r] = sum;
-            const float zi = (std::abs(sum) + sum) * inv_gamma;
-            best = std::max(best, std::abs(zi - fz1[off + r]));
-            fz1[off + r] = zi;
-          }
-        }
-        return best;
-      },
-      fold_max_f);
-  delta = std::max(delta, general_delta);
-
-  if (m > 0) {
-    const float* const fs1_used =
-        opts_.splitting == MmsimSplitting::kGaussSeidel ? fnew_s1.data()
-                                                        : fs1.data();
-    const kernels::DualRhsCtxF dctx{fs2.data(),
-                                    diag_f_.data(),
-                                    lower_f_.data(),
-                                    upper_f_.data(),
-                                    b_f_.data(),
-                                    fs1.data(),
-                                    fs1_used,
-                                    b_v0f_.data(),
-                                    b_v1f_.data(),
-                                    b_g2_->c0.data(),
-                                    b_g2_->c1.data(),
-                                    frhs2.data(),
-                                    inv_theta,
-                                    gamma,
-                                    m};
-    parallel_for(std::size_t{0}, m, kGrainElementwise,
-                 [&](std::size_t lo, std::size_t hi) {
-                   if (sk != nullptr) {
-                     sk->dual_rhs_f(dctx, lo, hi);
-                     return;
-                   }
-                   for (std::size_t i = lo; i < hi; ++i) {
-                     float sum = diag_f_[i] * fs2[i];
-                     if (i > 0) sum += lower_f_[i - 1] * fs2[i - 1];
-                     if (i + 1 < m) sum += upper_f_[i] * fs2[i + 1];
-                     float t =
-                         inv_theta * sum + std::abs(fs2[i]) + gamma * b_f_[i];
-                     float g_abs = 0.0f;
-                     float g_used = 0.0f;
-                     g_abs += b_v0f_[i] * std::abs(fs1[b_g2_->c0[i]]);
-                     g_used += b_v0f_[i] * fs1_used[b_g2_->c0[i]];
-                     g_abs += b_v1f_[i] * std::abs(fs1[b_g2_->c1[i]]);
-                     g_used += b_v1f_[i] * fs1_used[b_g2_->c1[i]];
-                     t += -1.0f * g_abs;
-                     t += -1.0f * g_used;
-                     frhs2[i] = t;
-                   }
-                 });
-
-    // Float Thomas solve over the converted factor arrays — the same
-    // short recurrence as TridiagonalFactorization::solve.
-    float* const fd = state.fthomas_d.data();
-    fd[0] = frhs2[0] * inv_pivot_f_[0];
-    for (std::size_t i = 1; i < m; ++i)
-      fd[i] = frhs2[i] * inv_pivot_f_[i] - g_f_[i] * fd[i - 1];
-    fnew_s2[m - 1] = fd[m - 1];
-    for (std::size_t i = m - 1; i-- > 0;)
-      fnew_s2[i] = fd[i] - c_prime_f_[i] * fnew_s2[i + 1];
-
-    const kernels::DualZCtxF zctx{fnew_s2.data(), fz2, inv_gamma};
-    const float dual_delta = parallel_reduce(
-        std::size_t{0}, m, kGrainElementwise, 0.0f,
-        [&](std::size_t lo, std::size_t hi) {
-          if (sk != nullptr) return sk->dual_z_f(zctx, lo, hi);
-          float best = 0.0f;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const float ns = fnew_s2[i];
-            const float zi = (std::abs(ns) + ns) * inv_gamma;
-            best = std::max(best, std::abs(zi - fz2[i]));
-            fz2[i] = zi;
-          }
-          return best;
-        },
-        fold_max_f);
-    delta = std::max(delta, dual_delta);
-  }
-
-  fs1.swap(fnew_s1);
-  fs2.swap(fnew_s2);
-  ++state.iterations;
-  return delta;
-}
-
-void MmsimSolver::promote_mixed(State& state) const {
-  const std::size_t n = qp_.num_variables();
-  const std::size_t m = qp_.num_constraints();
-  const double inv_gamma = 1.0 / opts_.gamma;
-  parallel_for(std::size_t{0}, n, kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) {
-                   const double s = static_cast<double>(state.fs1[i]);
-                   state.s1[i] = s;
-                   state.z[i] = (std::abs(s) + s) * inv_gamma;
-                 }
-               });
-  parallel_for(std::size_t{0}, m, kGrainElementwise,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) {
-                   const double s = static_cast<double>(state.fs2[i]);
-                   state.s2[i] = s;
-                   state.z[n + i] = (std::abs(s) + s) * inv_gamma;
-                 }
-               });
-}
-
-void MmsimSolver::run_mixed_prelude(State& state, MmsimResult& result) const {
-  const std::size_t n = qp_.num_variables();
-  const std::size_t m = qp_.num_constraints();
-
-  // Seed the float shadow from the (possibly warm-started) double state.
-  state.fs1.resize(n);
-  state.fnew_s1.resize(n);
-  state.fs2.resize(m);
-  state.fnew_s2.resize(m);
-  state.frhs2.resize(m);
-  state.fthomas_d.resize(m);
-  state.fz.resize(n + m);
-  for (std::size_t i = 0; i < n; ++i)
-    state.fs1[i] = static_cast<float>(state.s1[i]);
-  for (std::size_t i = 0; i < m; ++i)
-    state.fs2[i] = static_cast<float>(state.s2[i]);
-  for (std::size_t i = 0; i < n + m; ++i)
-    state.fz[i] = static_cast<float>(state.z[i]);
-
-  // Leave at least two iterations of budget for the double polish: the
-  // stopping rule needs consecutive full-precision deltas.
-  const std::size_t budget =
-      opts_.max_iterations > 2 ? opts_.max_iterations - 2 : 0;
-  const std::size_t interval = std::max<std::size_t>(
-      std::size_t{1}, opts_.mixed_check_interval);
-  // Below this the float32 iterate is dithering in its own rounding noise;
-  // hand off to the polish rather than keep spinning.
-  const float float_floor =
-      static_cast<float>(std::max(opts_.tolerance, 1e-5));
-  double best_measure = std::numeric_limits<double>::infinity();
-  std::size_t stalls = 0;
-
-  static obs::Counter& checkpoints = obs::counter("mmsim.mixed.checkpoints");
-  const char* handoff_reason = "budget";
-  while (state.iterations < budget) {
-    float fdelta = 0.0f;
-    for (std::size_t j = 0; j < interval && state.iterations < budget; ++j)
-      fdelta = step_mixed(state);
-
-    // Full-precision checkpoint: promote the iterate and measure the true
-    // LCP residual in float64.
-    promote_mixed(state);
-    checkpoints.add();
-    const MmsimResidualPartials parts = residual_partials(state.z);
-    if (residual_ok(parts, opts_.residual_tolerance)) {
-      handoff_reason = "residual_ok";
-      break;
-    }
-    if (fdelta < float_floor) {
-      handoff_reason = "float_floor";
-      break;
-    }
-    // Residual stall: two consecutive checks without meaningful progress
-    // mean float32 resolution is exhausted — stop burning iterations and
-    // let the polish (and, failing that, the recovery ladder) take over.
-    const double measure =
-        parts.complementarity + parts.z_negativity + parts.w_negativity;
-    if (measure < 0.9 * best_measure) {
-      stalls = 0;
-    } else if (++stalls >= 2) {
-      handoff_reason = "stall";
-      break;
-    }
-    best_measure = std::min(best_measure, measure);
-  }
-  obs::counter("mmsim.mixed.handoff", "reason", handoff_reason).add();
-  result.mixed_iterations = state.iterations;
-}
-
 MmsimResult MmsimSolver::run_loop(State& state) const {
   const std::size_t n = qp_.num_variables();
   const std::size_t m = qp_.num_constraints();
@@ -1078,21 +733,9 @@ MmsimResult MmsimSolver::run_loop(State& state) const {
   MmsimResult result;
   result.setup_seconds = setup_seconds_;
 
-  // Mixed mode front-loads float32 iterations, then falls through to the
-  // double loop below as its polish (warm-started from the promoted
-  // iterate, same stopping rule, remaining iteration budget). kDouble runs
-  // the loop alone — identical to the pre-mixed behavior.
-  if (mixed_active_ && qp_.lcp_size() > 0) run_mixed_prelude(state, result);
-
-  std::size_t k = 0;
-  while (state.iterations < opts_.max_iterations) {
+  for (std::size_t k = 0; k < opts_.max_iterations; ++k) {
     result.final_delta = step(state);
-    // Keyed on the global iteration counter (not the loop-local k) so the
-    // sample positions stay stride-aligned when the mixed prelude has
-    // already consumed part of the budget; identical to k in double mode,
-    // where the loop starts at iteration 0.
-    if (opts_.trace_stride > 0 &&
-        (state.iterations - 1) % opts_.trace_stride == 0)
+    if (opts_.trace_stride > 0 && k % opts_.trace_stride == 0)
       result.trace.emplace_back(state.iterations, result.final_delta);
     if (k > 0 && result.final_delta < opts_.tolerance) {
       bool stop = true;
@@ -1108,7 +751,6 @@ MmsimResult MmsimSolver::run_loop(State& state) const {
         break;
       }
     }
-    ++k;
   }
   result.iterations = state.iterations;
   {

@@ -45,28 +45,6 @@ namespace mch::lcp {
 /// for A/B benchmarking and the .fused-off ctest variant, not correctness.
 bool fused_kernels_default();
 
-/// Arithmetic precision of the splitting iterate.
-enum class MmsimPrecision {
-  /// Full float64 iteration — the bitwise-deterministic reference. Always
-  /// what the `match`/`.mt4`/`.part` contracts run on.
-  kDouble,
-  /// Opt-in mixed mode (ALGORITHM.md ¶13): the bulk of the iteration runs
-  /// the fused sweeps in float32 (twice the SIMD lanes, half the memory
-  /// traffic), a float64 scaled-residual check runs every
-  /// MmsimOptions::mixed_check_interval iterations, and the solve always
-  /// finishes with full-precision double iterations ("polish") under the
-  /// unchanged stopping rule — so the *accepted* solution is validated
-  /// entirely in float64. No bitwise contract: iterates depend on the
-  /// float32 trajectory. Requires the fused gather2 path; solvers that
-  /// don't qualify (reference mode, wide rows) silently run kDouble.
-  kMixed,
-};
-
-/// Default for MmsimOptions::precision: kMixed when the MCH_PRECISION
-/// environment variable is "mixed", kDouble otherwise ("double", unset, or
-/// unrecognized — the latter with a warning).
-MmsimPrecision precision_default();
-
 /// Which splitting builds M (ablation of the paper's Eq. 16 choice).
 enum class MmsimSplitting {
   /// The paper's block-Gauss-Seidel form: M = [K/β* 0; B D/θ*] — the dual
@@ -104,13 +82,6 @@ struct MmsimOptions {
   /// stage-by-stage reference path. Both produce bitwise-identical iterates
   /// at every thread count; fused is ~2× faster on large systems.
   bool fused = fused_kernels_default();
-  /// Iterate precision (see MmsimPrecision). Mixed mode engages only on
-  /// fused gather2-eligible solvers; everything else runs kDouble.
-  MmsimPrecision precision = precision_default();
-  /// Mixed mode: float32 iterations between two float64 scaled-residual
-  /// checks. Each check promotes the iterate and runs one full residual
-  /// evaluation, so the interval trades check latency against overshoot.
-  std::size_t mixed_check_interval = 32;
 };
 
 /// Wall-clock breakdown of a solve by kernel phase, accumulated across
@@ -123,17 +94,14 @@ struct MmsimPhaseTimes {
   double spmv_seconds = 0.0;       ///< standalone matrix products + block solves
   double thomas_seconds = 0.0;     ///< tridiagonal (D/θ* + I) solves
   double reduction_seconds = 0.0;  ///< delta folds of the stopping rule
-  double mixed_seconds = 0.0;      ///< float32 iterations of mixed mode
   double total() const {
-    return kernel_seconds + spmv_seconds + thomas_seconds +
-           reduction_seconds + mixed_seconds;
+    return kernel_seconds + spmv_seconds + thomas_seconds + reduction_seconds;
   }
   void accumulate(const MmsimPhaseTimes& other) {
     kernel_seconds += other.kernel_seconds;
     spmv_seconds += other.spmv_seconds;
     thomas_seconds += other.thomas_seconds;
     reduction_seconds += other.reduction_seconds;
-    mixed_seconds += other.mixed_seconds;
   }
 };
 
@@ -146,29 +114,12 @@ struct MmsimResult {
   Vector s;
   MmsimPhaseTimes phase;      ///< per-phase timing (see MmsimPhaseTimes)
   std::size_t iterations = 0;
-  /// How many of `iterations` ran in float32 (0 outside mixed mode). The
-  /// remainder is the double-precision polish.
-  std::size_t mixed_iterations = 0;
   bool converged = false;
   double final_delta = 0.0;   ///< last ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞
   double setup_seconds = 0.0;
   double solve_seconds = 0.0;
   /// (iteration, delta) samples when options.trace_stride > 0.
   std::vector<std::pair<std::size_t, double>> trace;
-};
-
-/// Per-part maxima of the scaled-residual stopping test. Each field is an
-/// ∞-norm-style maximum, so the partials of a sub-problem combine with those
-/// of its siblings by plain max — the combined decision is then exactly the
-/// decision the monolithic solver would have made on the concatenated z
-/// (the partitioned legalizer relies on this to stay bitwise-faithful).
-struct MmsimResidualPartials {
-  double z_norm = 0.0;          ///< ‖z‖∞
-  double w_norm = 0.0;          ///< ‖Az + q‖∞
-  double z_negativity = 0.0;    ///< max(0, −z_i)
-  double w_negativity = 0.0;    ///< max(0, −w_i)
-  double complementarity = 0.0; ///< max |z_i·w_i|
-  void merge_max(const MmsimResidualPartials& other);
 };
 
 class MmsimSolver {
@@ -191,11 +142,10 @@ class MmsimSolver {
   /// Runs Algorithm 1 from the given start vector s⁽⁰⁾ (size lcp_size()).
   MmsimResult solve_from(const Vector& s0) const;
 
-  /// Iteration state for the incremental step() API. The partitioned
-  /// legalizer advances many per-component solvers in lockstep with a
-  /// global stopping rule; solve_from()/solve_in() run on the same
-  /// machinery. States are plain buffer bundles: a SolverWorkspace slot
-  /// keeps one alive across solves so reset_state() can reuse its capacity.
+  /// Iteration state for the incremental step() API, which
+  /// solve_from()/solve_in() run on. States are plain buffer bundles: a
+  /// SolverWorkspace slot keeps one alive across solves so reset_state()
+  /// can reuse its capacity.
   struct State {
     Vector z;                 ///< current iterate [x; dual] (modulus image)
     std::size_t iterations = 0;
@@ -207,10 +157,6 @@ class MmsimSolver {
     Vector z_prev;
     Vector abs1, abs2, rhs1, rhs2, new_s1, new_s2;  ///< scratch
     Vector thomas_d;          ///< Thomas forward-sweep scratch
-    /// Float32 shadow of the splitting state + scratch, touched only by
-    /// mixed mode's prelude (sized lazily there, capacity reused).
-    linalg::AlignedVector<float> fs1, fs2, fnew_s1, fnew_s2;
-    linalg::AlignedVector<float> fz, frhs2, fthomas_d;
   };
 
   /// Fresh state at s⁽⁰⁾ = 0.
@@ -232,14 +178,6 @@ class MmsimSolver {
   /// caller owns the stopping rule (solve_from() applies the tolerance +
   /// residual_check policy in MmsimOptions).
   double step(State& state) const;
-
-  /// Residual maxima of z for the scaled stopping test; combine across
-  /// sub-problems with merge_max, decide with residual_ok.
-  MmsimResidualPartials residual_partials(const Vector& z) const;
-
-  /// The scaled-residual decision on (possibly merged) partials.
-  static bool residual_ok(const MmsimResidualPartials& partials,
-                          double tolerance);
 
   /// The tridiagonal Schur approximation D = tridiag(B K⁻¹ Bᵀ).
   const linalg::Tridiagonal& schur_tridiagonal() const { return d_; }
@@ -270,17 +208,6 @@ class MmsimSolver {
   /// constant-trip-count loops with no per-row branch).
   template <bool kGather2>
   double step_fused_impl(State& state) const;
-  /// One float32 fused iteration of mixed mode; returns the float delta.
-  float step_mixed(State& state) const;
-  /// Copies the float32 iterate back into the double state (s1/s2 and the
-  /// modulus image z), so float64 checks and the polish see it.
-  void promote_mixed(State& state) const;
-  /// The float32 phase of mixed mode: seeds the float shadow from the
-  /// double state, iterates step_mixed with a float64 scaled-residual check
-  /// every mixed_check_interval iterations, and stops on float convergence,
-  /// residual stall, or budget — leaving the promoted iterate in `state`
-  /// for the double polish that follows.
-  void run_mixed_prelude(State& state, MmsimResult& result) const;
   /// Iteration loop + result packaging shared by solve_from()/solve_in().
   MmsimResult run_loop(State& state) const;
 
@@ -327,18 +254,6 @@ class MmsimSolver {
   Vector gb_vals_;
   /// Largest non-1×1 block dimension — sizes the per-thread block scratch.
   std::size_t max_general_rows_ = 0;
-  /// Mixed mode engaged: precision == kMixed on a fused gather2-eligible
-  /// solver. When set, the float32 mirrors below are populated.
-  bool mixed_active_ = false;
-  /// Float32 copies of everything the float sweeps read: K scalar values
-  /// and shifted inverses, p, b, the split gather-slot values of Bᵀ and B
-  /// (columns are shared with the double tables), the flattened general
-  /// blocks, and the D bands + Thomas factor arrays of the dual solve.
-  linalg::AlignedVector<float> kv_f_, siv_f_, p_f_, b_f_;
-  linalg::AlignedVector<float> bt_v0f_, bt_v1f_, b_v0f_, b_v1f_;
-  linalg::AlignedVector<float> gb_vals_f_;
-  linalg::AlignedVector<float> diag_f_, lower_f_, upper_f_;
-  linalg::AlignedVector<float> c_prime_f_, inv_pivot_f_, g_f_;
   /// Collect MmsimPhaseTimes. Disabled for tiny systems, where the timer
   /// reads would rival the arithmetic (see MmsimPhaseTimes).
   bool profile_ = false;

@@ -3,17 +3,12 @@
 // Each kernel processes index range [lo, hi) of one of the three fused
 // sweeps of lcp/mmsim.cpp (primal modulus update, dual rhs assembly, dual
 // z update) over plain pointer bundles — the structure-of-arrays gather
-// tables (linalg::CsrGather2) plus the flat solver arrays. Double kernels
+// tables (linalg::CsrGather2) plus the flat solver arrays. The kernels
 // are BITWISE IDENTICAL to the scalar fused sweeps: every lane replicates
 // the scalar chain term for term (including the padded 0.0·x gather terms
 // — the same padding contract the scalar fused path already carries), the
 // per-ISA TUs are compiled with -ffp-contract=off, and the delta ∞-norm is
 // a max-fold, order-independent over the identical value multiset.
-//
-// Float kernels run the same chains in float32 for the opt-in mixed
-// precision iterate (MCH_PRECISION=mixed). They carry no bitwise contract
-// — mixed mode converges by the float64 residual check, not by bit
-// reproducibility (ALGORITHM.md par.13).
 #pragma once
 
 #include <cstddef>
@@ -70,58 +65,12 @@ struct DualZCtx {
   double inv_gamma;
 };
 
-/// Float mirrors for the mixed-precision iterate.
-struct PrimalCtxF {
-  const float* s1;
-  const float* s2;
-  const float* kv;
-  const float* siv;
-  const float* p;
-  const float* bt_v0;
-  const float* bt_v1;
-  const std::uint32_t* bt_c0;
-  const std::uint32_t* bt_c1;
-  const unsigned char* general;
-  float* new_s1;
-  float* z;
-  float c1;
-  float gamma;
-  float inv_gamma;
-};
-
-struct DualRhsCtxF {
-  const float* s2;
-  const float* diag;
-  const float* lower;
-  const float* upper;
-  const float* b;
-  const float* s1;
-  const float* s1_used;
-  const float* b_v0;
-  const float* b_v1;
-  const std::uint32_t* b_c0;
-  const std::uint32_t* b_c1;
-  float* rhs2;
-  float inv_theta;
-  float gamma;
-  std::size_t m;
-};
-
-struct DualZCtxF {
-  const float* new_s2;
-  float* z;
-  float inv_gamma;
-};
-
 struct MmsimSimdKernels {
   /// Each sweep returns its chunk's delta partial (∞-norm max over the
   /// lanes it updated); rhs assembly returns nothing.
   double (*primal)(const PrimalCtx& c, std::size_t lo, std::size_t hi);
   void (*dual_rhs)(const DualRhsCtx& c, std::size_t lo, std::size_t hi);
   double (*dual_z)(const DualZCtx& c, std::size_t lo, std::size_t hi);
-  float (*primal_f)(const PrimalCtxF& c, std::size_t lo, std::size_t hi);
-  void (*dual_rhs_f)(const DualRhsCtxF& c, std::size_t lo, std::size_t hi);
-  float (*dual_z_f)(const DualZCtxF& c, std::size_t lo, std::size_t hi);
 };
 
 /// Kernel table for `level`; nullptr when the level is kScalar or the

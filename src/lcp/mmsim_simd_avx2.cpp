@@ -1,5 +1,5 @@
-// AVX2 variants of the fused MMSIM sweeps: 4-wide double (bitwise equal to
-// the scalar fused path) and 8-wide float (mixed-precision iterate).
+// AVX2 variants of the fused MMSIM sweeps: 4-wide double, bitwise equal to
+// the scalar fused path.
 // Compiled with -mavx2 -ffp-contract=off; entered only through
 // mmsim_simd_kernels() after the runtime CPU check. Lane masking uses
 // full-width compare masks + maskstore / and-select (no AVX-512 opmask);
@@ -19,15 +19,10 @@ namespace mch::lcp::kernels {
 namespace {
 
 inline double dmax(double a, double b) { return a < b ? b : a; }
-inline float fmax_(float a, float b) { return a < b ? b : a; }
 inline double dabs(double a) { return __builtin_fabs(a); }
-inline float fabs_(float a) { return __builtin_fabsf(a); }
 
 inline __m256d vabs(__m256d v) {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
-}
-inline __m256 vabsf(__m256 v) {
-  return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v);
 }
 
 inline double hmax4(__m256d v) {
@@ -38,15 +33,6 @@ inline double hmax4(__m256d v) {
   return _mm_cvtsd_f64(s);
 }
 
-inline float hmax8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 m = _mm_max_ps(lo, hi);
-  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-  return _mm_cvtss_f32(m);
-}
-
 /// Full-width keep mask (all-ones where general[i] == 0) for 4 double lanes.
 inline __m256d keep_mask4(const unsigned char* general) {
   std::uint32_t raw;
@@ -55,16 +41,6 @@ inline __m256d keep_mask4(const unsigned char* general) {
   const __m128i eq = _mm_cmpeq_epi32(g4, _mm_setzero_si128());
   return _mm256_castsi256_pd(_mm256_cvtepi32_epi64(eq));
 }
-
-/// Keep mask for 8 float lanes.
-inline __m256i keep_mask8(const unsigned char* general) {
-  const __m128i g8 =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(general));
-  const __m256i wide = _mm256_cvtepu8_epi32(g8);
-  return _mm256_cmpeq_epi32(wide, _mm256_setzero_si256());
-}
-
-// ---------------------------------------------------------------- double --
 
 double primal(const PrimalCtx& c, std::size_t lo, std::size_t hi) {
   const __m256d zero = _mm256_setzero_pd();
@@ -210,156 +186,9 @@ double dual_z(const DualZCtx& c, std::size_t lo, std::size_t hi) {
   return best;
 }
 
-// ----------------------------------------------------------------- float --
-
-float primal_f(const PrimalCtxF& c, std::size_t lo, std::size_t hi) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 vc1 = _mm256_set1_ps(c.c1);
-  const __m256 vneg1 = _mm256_set1_ps(-1.0f);
-  const __m256 vgamma = _mm256_set1_ps(c.gamma);
-  const __m256 vinvg = _mm256_set1_ps(c.inv_gamma);
-  __m256 vbest = zero;
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    const __m256i keep = keep_mask8(c.general + i);
-    if (_mm256_movemask_ps(_mm256_castsi256_ps(keep)) == 0) continue;
-    const __m256 s1 = _mm256_loadu_ps(c.s1 + i);
-    const __m256 a1 = vabsf(s1);
-    const __m256i i0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c.bt_c0 + i));
-    const __m256i i1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c.bt_c1 + i));
-    const __m256 x0 = _mm256_i32gather_ps(c.s2, i0, 4);
-    const __m256 x1 = _mm256_i32gather_ps(c.s2, i1, 4);
-    const __m256 v0 = _mm256_loadu_ps(c.bt_v0 + i);
-    const __m256 v1 = _mm256_loadu_ps(c.bt_v1 + i);
-    __m256 g_s2 = _mm256_add_ps(zero, _mm256_mul_ps(v0, x0));
-    g_s2 = _mm256_add_ps(g_s2, _mm256_mul_ps(v1, x1));
-    __m256 g_abs = _mm256_add_ps(zero, _mm256_mul_ps(v0, vabsf(x0)));
-    g_abs = _mm256_add_ps(g_abs, _mm256_mul_ps(v1, vabsf(x1)));
-    const __m256 kv = _mm256_loadu_ps(c.kv + i);
-    __m256 r = _mm256_add_ps(zero, _mm256_mul_ps(_mm256_mul_ps(vc1, kv), s1));
-    r = _mm256_add_ps(r, g_s2);
-    r = _mm256_add_ps(r, a1);
-    r = _mm256_add_ps(r, _mm256_mul_ps(_mm256_mul_ps(vneg1, kv), a1));
-    r = _mm256_add_ps(r, g_abs);
-    r = _mm256_sub_ps(r, _mm256_mul_ps(vgamma, _mm256_loadu_ps(c.p + i)));
-    const __m256 ns = _mm256_mul_ps(_mm256_loadu_ps(c.siv + i), r);
-    _mm256_maskstore_ps(c.new_s1 + i, keep, ns);
-    const __m256 zi = _mm256_mul_ps(_mm256_add_ps(vabsf(ns), ns), vinvg);
-    const __m256 diff = vabsf(_mm256_sub_ps(zi, _mm256_loadu_ps(c.z + i)));
-    _mm256_maskstore_ps(c.z + i, keep, zi);
-    vbest = _mm256_max_ps(vbest, _mm256_and_ps(_mm256_castsi256_ps(keep), diff));
-  }
-  float best = hmax8(vbest);
-  for (; i < hi; ++i) {
-    if (c.general[i]) continue;
-    const float s1i = c.s1[i];
-    const float a1 = fabs_(s1i);
-    float g_s2 = 0.0f;
-    float g_abs = 0.0f;
-    g_s2 += c.bt_v0[i] * c.s2[c.bt_c0[i]];
-    g_abs += c.bt_v0[i] * fabs_(c.s2[c.bt_c0[i]]);
-    g_s2 += c.bt_v1[i] * c.s2[c.bt_c1[i]];
-    g_abs += c.bt_v1[i] * fabs_(c.s2[c.bt_c1[i]]);
-    float r = 0.0f;
-    r += c.c1 * c.kv[i] * s1i;
-    r += g_s2;
-    r += a1;
-    r += -1.0f * c.kv[i] * a1;
-    r += g_abs;
-    r -= c.gamma * c.p[i];
-    const float ns = c.siv[i] * r;
-    c.new_s1[i] = ns;
-    const float zi = (fabs_(ns) + ns) * c.inv_gamma;
-    best = fmax_(best, fabs_(zi - c.z[i]));
-    c.z[i] = zi;
-  }
-  return best;
-}
-
-inline void dual_rhs_lane_f(const DualRhsCtxF& c, std::size_t i) {
-  float sum = c.diag[i] * c.s2[i];
-  if (i > 0) sum += c.lower[i - 1] * c.s2[i - 1];
-  if (i + 1 < c.m) sum += c.upper[i] * c.s2[i + 1];
-  float t = c.inv_theta * sum + fabs_(c.s2[i]) + c.gamma * c.b[i];
-  float g_abs = 0.0f;
-  float g_used = 0.0f;
-  g_abs += c.b_v0[i] * fabs_(c.s1[c.b_c0[i]]);
-  g_used += c.b_v0[i] * c.s1_used[c.b_c0[i]];
-  g_abs += c.b_v1[i] * fabs_(c.s1[c.b_c1[i]]);
-  g_used += c.b_v1[i] * c.s1_used[c.b_c1[i]];
-  t += -1.0f * g_abs;
-  t += -1.0f * g_used;
-  c.rhs2[i] = t;
-}
-
-void dual_rhs_f(const DualRhsCtxF& c, std::size_t lo, std::size_t hi) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 vneg1 = _mm256_set1_ps(-1.0f);
-  const __m256 vtheta = _mm256_set1_ps(c.inv_theta);
-  const __m256 vgamma = _mm256_set1_ps(c.gamma);
-  std::size_t i = lo;
-  if (i == 0 && i < hi) {
-    dual_rhs_lane_f(c, i);
-    ++i;
-  }
-  const std::size_t vec_hi = hi == c.m ? (hi > 0 ? hi - 1 : 0) : hi;
-  for (; i + 8 <= vec_hi; i += 8) {
-    const __m256 s2 = _mm256_loadu_ps(c.s2 + i);
-    __m256 sum = _mm256_mul_ps(_mm256_loadu_ps(c.diag + i), s2);
-    sum = _mm256_add_ps(sum, _mm256_mul_ps(_mm256_loadu_ps(c.lower + i - 1),
-                                           _mm256_loadu_ps(c.s2 + i - 1)));
-    sum = _mm256_add_ps(sum, _mm256_mul_ps(_mm256_loadu_ps(c.upper + i),
-                                           _mm256_loadu_ps(c.s2 + i + 1)));
-    __m256 t = _mm256_add_ps(_mm256_mul_ps(vtheta, sum), vabsf(s2));
-    t = _mm256_add_ps(t, _mm256_mul_ps(vgamma, _mm256_loadu_ps(c.b + i)));
-    const __m256i i0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c.b_c0 + i));
-    const __m256i i1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c.b_c1 + i));
-    const __m256 u0 = _mm256_i32gather_ps(c.s1, i0, 4);
-    const __m256 u1 = _mm256_i32gather_ps(c.s1, i1, 4);
-    const __m256 w0 = _mm256_i32gather_ps(c.s1_used, i0, 4);
-    const __m256 w1 = _mm256_i32gather_ps(c.s1_used, i1, 4);
-    const __m256 v0 = _mm256_loadu_ps(c.b_v0 + i);
-    const __m256 v1 = _mm256_loadu_ps(c.b_v1 + i);
-    __m256 g_abs = _mm256_add_ps(zero, _mm256_mul_ps(v0, vabsf(u0)));
-    g_abs = _mm256_add_ps(g_abs, _mm256_mul_ps(v1, vabsf(u1)));
-    __m256 g_used = _mm256_add_ps(zero, _mm256_mul_ps(v0, w0));
-    g_used = _mm256_add_ps(g_used, _mm256_mul_ps(v1, w1));
-    t = _mm256_add_ps(t, _mm256_mul_ps(vneg1, g_abs));
-    t = _mm256_add_ps(t, _mm256_mul_ps(vneg1, g_used));
-    _mm256_storeu_ps(c.rhs2 + i, t);
-  }
-  for (; i < hi; ++i) dual_rhs_lane_f(c, i);
-}
-
-float dual_z_f(const DualZCtxF& c, std::size_t lo, std::size_t hi) {
-  const __m256 vinvg = _mm256_set1_ps(c.inv_gamma);
-  __m256 vbest = _mm256_setzero_ps();
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    const __m256 ns = _mm256_loadu_ps(c.new_s2 + i);
-    const __m256 zi = _mm256_mul_ps(_mm256_add_ps(vabsf(ns), ns), vinvg);
-    const __m256 diff = vabsf(_mm256_sub_ps(zi, _mm256_loadu_ps(c.z + i)));
-    _mm256_storeu_ps(c.z + i, zi);
-    vbest = _mm256_max_ps(vbest, diff);
-  }
-  float best = hmax8(vbest);
-  for (; i < hi; ++i) {
-    const float ns = c.new_s2[i];
-    const float zi = (fabs_(ns) + ns) * c.inv_gamma;
-    best = fmax_(best, fabs_(zi - c.z[i]));
-    c.z[i] = zi;
-  }
-  return best;
-}
-
 }  // namespace
 
-const MmsimSimdKernels kMmsimSimdAvx2 = {primal,   dual_rhs,   dual_z,
-                                         primal_f, dual_rhs_f, dual_z_f};
+const MmsimSimdKernels kMmsimSimdAvx2 = {primal, dual_rhs, dual_z};
 
 }  // namespace mch::lcp::kernels
 

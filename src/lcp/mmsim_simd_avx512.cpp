@@ -1,5 +1,5 @@
-// AVX-512 variants of the fused MMSIM sweeps: 8-wide double (bitwise equal
-// to the scalar fused path) and 16-wide float (mixed-precision iterate).
+// AVX-512 variants of the fused MMSIM sweeps: 8-wide double, bitwise equal
+// to the scalar fused path.
 // Compiled with -mavx512f -mavx512vl -mavx512dq -mavx512bw and
 // -ffp-contract=off; entered only through mmsim_simd_kernels() after the
 // runtime CPU check. See mmsim_kernels.h for the contracts.
@@ -16,18 +16,11 @@ namespace mch::lcp::kernels {
 namespace {
 
 inline double dmax(double a, double b) { return a < b ? b : a; }
-inline float fmax_(float a, float b) { return a < b ? b : a; }
 inline double dabs(double a) { return __builtin_fabs(a); }
-inline float fabs_(float a) { return __builtin_fabsf(a); }
 
 inline __m512d vabs(__m512d v) {
   return _mm512_andnot_pd(_mm512_set1_pd(-0.0), v);
 }
-inline __m512 vabsf(__m512 v) {
-  return _mm512_andnot_ps(_mm512_set1_ps(-0.0f), v);
-}
-
-// ---------------------------------------------------------------- double --
 
 double primal(const PrimalCtx& c, std::size_t lo, std::size_t hi) {
   const __m512d zero = _mm512_setzero_pd();
@@ -183,159 +176,9 @@ double dual_z(const DualZCtx& c, std::size_t lo, std::size_t hi) {
   return best;
 }
 
-// ----------------------------------------------------------------- float --
-
-float primal_f(const PrimalCtxF& c, std::size_t lo, std::size_t hi) {
-  const __m512 zero = _mm512_setzero_ps();
-  const __m512 vc1 = _mm512_set1_ps(c.c1);
-  const __m512 vneg1 = _mm512_set1_ps(-1.0f);
-  const __m512 vgamma = _mm512_set1_ps(c.gamma);
-  const __m512 vinvg = _mm512_set1_ps(c.inv_gamma);
-  __m512 vbest = zero;
-  std::size_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    const __m128i g16 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c.general + i));
-    const __mmask16 keep = _mm512_cmp_epu32_mask(
-        _mm512_cvtepu8_epi32(g16), _mm512_setzero_si512(), _MM_CMPINT_EQ);
-    if (keep == 0) continue;
-    const __m512 s1 = _mm512_loadu_ps(c.s1 + i);
-    const __m512 a1 = vabsf(s1);
-    const __m512i i0 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(c.bt_c0 + i));
-    const __m512i i1 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(c.bt_c1 + i));
-    const __m512 x0 = _mm512_i32gather_ps(i0, c.s2, 4);
-    const __m512 x1 = _mm512_i32gather_ps(i1, c.s2, 4);
-    const __m512 v0 = _mm512_loadu_ps(c.bt_v0 + i);
-    const __m512 v1 = _mm512_loadu_ps(c.bt_v1 + i);
-    __m512 g_s2 = _mm512_add_ps(zero, _mm512_mul_ps(v0, x0));
-    g_s2 = _mm512_add_ps(g_s2, _mm512_mul_ps(v1, x1));
-    __m512 g_abs = _mm512_add_ps(zero, _mm512_mul_ps(v0, vabsf(x0)));
-    g_abs = _mm512_add_ps(g_abs, _mm512_mul_ps(v1, vabsf(x1)));
-    const __m512 kv = _mm512_loadu_ps(c.kv + i);
-    __m512 r = _mm512_add_ps(zero, _mm512_mul_ps(_mm512_mul_ps(vc1, kv), s1));
-    r = _mm512_add_ps(r, g_s2);
-    r = _mm512_add_ps(r, a1);
-    r = _mm512_add_ps(r, _mm512_mul_ps(_mm512_mul_ps(vneg1, kv), a1));
-    r = _mm512_add_ps(r, g_abs);
-    r = _mm512_sub_ps(r, _mm512_mul_ps(vgamma, _mm512_loadu_ps(c.p + i)));
-    const __m512 ns = _mm512_mul_ps(_mm512_loadu_ps(c.siv + i), r);
-    _mm512_mask_storeu_ps(c.new_s1 + i, keep, ns);
-    const __m512 zi = _mm512_mul_ps(_mm512_add_ps(vabsf(ns), ns), vinvg);
-    const __m512 diff = vabsf(_mm512_sub_ps(zi, _mm512_loadu_ps(c.z + i)));
-    _mm512_mask_storeu_ps(c.z + i, keep, zi);
-    vbest = _mm512_mask_max_ps(vbest, keep, vbest, diff);
-  }
-  float best = _mm512_reduce_max_ps(vbest);
-  for (; i < hi; ++i) {
-    if (c.general[i]) continue;
-    const float s1i = c.s1[i];
-    const float a1 = fabs_(s1i);
-    float g_s2 = 0.0f;
-    float g_abs = 0.0f;
-    g_s2 += c.bt_v0[i] * c.s2[c.bt_c0[i]];
-    g_abs += c.bt_v0[i] * fabs_(c.s2[c.bt_c0[i]]);
-    g_s2 += c.bt_v1[i] * c.s2[c.bt_c1[i]];
-    g_abs += c.bt_v1[i] * fabs_(c.s2[c.bt_c1[i]]);
-    float r = 0.0f;
-    r += c.c1 * c.kv[i] * s1i;
-    r += g_s2;
-    r += a1;
-    r += -1.0f * c.kv[i] * a1;
-    r += g_abs;
-    r -= c.gamma * c.p[i];
-    const float ns = c.siv[i] * r;
-    c.new_s1[i] = ns;
-    const float zi = (fabs_(ns) + ns) * c.inv_gamma;
-    best = fmax_(best, fabs_(zi - c.z[i]));
-    c.z[i] = zi;
-  }
-  return best;
-}
-
-inline void dual_rhs_lane_f(const DualRhsCtxF& c, std::size_t i) {
-  float sum = c.diag[i] * c.s2[i];
-  if (i > 0) sum += c.lower[i - 1] * c.s2[i - 1];
-  if (i + 1 < c.m) sum += c.upper[i] * c.s2[i + 1];
-  float t = c.inv_theta * sum + fabs_(c.s2[i]) + c.gamma * c.b[i];
-  float g_abs = 0.0f;
-  float g_used = 0.0f;
-  g_abs += c.b_v0[i] * fabs_(c.s1[c.b_c0[i]]);
-  g_used += c.b_v0[i] * c.s1_used[c.b_c0[i]];
-  g_abs += c.b_v1[i] * fabs_(c.s1[c.b_c1[i]]);
-  g_used += c.b_v1[i] * c.s1_used[c.b_c1[i]];
-  t += -1.0f * g_abs;
-  t += -1.0f * g_used;
-  c.rhs2[i] = t;
-}
-
-void dual_rhs_f(const DualRhsCtxF& c, std::size_t lo, std::size_t hi) {
-  const __m512 zero = _mm512_setzero_ps();
-  const __m512 vneg1 = _mm512_set1_ps(-1.0f);
-  const __m512 vtheta = _mm512_set1_ps(c.inv_theta);
-  const __m512 vgamma = _mm512_set1_ps(c.gamma);
-  std::size_t i = lo;
-  if (i == 0 && i < hi) {
-    dual_rhs_lane_f(c, i);
-    ++i;
-  }
-  const std::size_t vec_hi = hi == c.m ? (hi > 0 ? hi - 1 : 0) : hi;
-  for (; i + 16 <= vec_hi; i += 16) {
-    const __m512 s2 = _mm512_loadu_ps(c.s2 + i);
-    __m512 sum = _mm512_mul_ps(_mm512_loadu_ps(c.diag + i), s2);
-    sum = _mm512_add_ps(sum, _mm512_mul_ps(_mm512_loadu_ps(c.lower + i - 1),
-                                           _mm512_loadu_ps(c.s2 + i - 1)));
-    sum = _mm512_add_ps(sum, _mm512_mul_ps(_mm512_loadu_ps(c.upper + i),
-                                           _mm512_loadu_ps(c.s2 + i + 1)));
-    __m512 t = _mm512_add_ps(_mm512_mul_ps(vtheta, sum), vabsf(s2));
-    t = _mm512_add_ps(t, _mm512_mul_ps(vgamma, _mm512_loadu_ps(c.b + i)));
-    const __m512i i0 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(c.b_c0 + i));
-    const __m512i i1 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(c.b_c1 + i));
-    const __m512 u0 = _mm512_i32gather_ps(i0, c.s1, 4);
-    const __m512 u1 = _mm512_i32gather_ps(i1, c.s1, 4);
-    const __m512 w0 = _mm512_i32gather_ps(i0, c.s1_used, 4);
-    const __m512 w1 = _mm512_i32gather_ps(i1, c.s1_used, 4);
-    const __m512 v0 = _mm512_loadu_ps(c.b_v0 + i);
-    const __m512 v1 = _mm512_loadu_ps(c.b_v1 + i);
-    __m512 g_abs = _mm512_add_ps(zero, _mm512_mul_ps(v0, vabsf(u0)));
-    g_abs = _mm512_add_ps(g_abs, _mm512_mul_ps(v1, vabsf(u1)));
-    __m512 g_used = _mm512_add_ps(zero, _mm512_mul_ps(v0, w0));
-    g_used = _mm512_add_ps(g_used, _mm512_mul_ps(v1, w1));
-    t = _mm512_add_ps(t, _mm512_mul_ps(vneg1, g_abs));
-    t = _mm512_add_ps(t, _mm512_mul_ps(vneg1, g_used));
-    _mm512_storeu_ps(c.rhs2 + i, t);
-  }
-  for (; i < hi; ++i) dual_rhs_lane_f(c, i);
-}
-
-float dual_z_f(const DualZCtxF& c, std::size_t lo, std::size_t hi) {
-  const __m512 vinvg = _mm512_set1_ps(c.inv_gamma);
-  __m512 vbest = _mm512_setzero_ps();
-  std::size_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    const __m512 ns = _mm512_loadu_ps(c.new_s2 + i);
-    const __m512 zi = _mm512_mul_ps(_mm512_add_ps(vabsf(ns), ns), vinvg);
-    const __m512 diff = vabsf(_mm512_sub_ps(zi, _mm512_loadu_ps(c.z + i)));
-    _mm512_storeu_ps(c.z + i, zi);
-    vbest = _mm512_max_ps(vbest, diff);
-  }
-  float best = _mm512_reduce_max_ps(vbest);
-  for (; i < hi; ++i) {
-    const float ns = c.new_s2[i];
-    const float zi = (fabs_(ns) + ns) * c.inv_gamma;
-    best = fmax_(best, fabs_(zi - c.z[i]));
-    c.z[i] = zi;
-  }
-  return best;
-}
-
 }  // namespace
 
-const MmsimSimdKernels kMmsimSimdAvx512 = {primal,   dual_rhs,   dual_z,
-                                           primal_f, dual_rhs_f, dual_z_f};
+const MmsimSimdKernels kMmsimSimdAvx512 = {primal, dual_rhs, dual_z};
 
 }  // namespace mch::lcp::kernels
 

@@ -47,7 +47,6 @@ class MmsimLcpSolver final : public LcpSolver {
     result.x = std::move(mmsim.x);
     result.dual = std::move(mmsim.dual);
     result.iterations = mmsim.iterations;
-    result.mixed_iterations = mmsim.mixed_iterations;
     result.converged = mmsim.converged;
     result.setup_seconds = mmsim.setup_seconds;
     result.solve_seconds = mmsim.solve_seconds;

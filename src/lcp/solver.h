@@ -35,9 +35,6 @@ struct LcpSolveResult {
   Vector dual;  ///< multipliers of the spacing rows (empty for PSOR)
   /// MMSIM/PSOR iterations, or Lemke pivots.
   std::size_t iterations = 0;
-  /// Iterations the float32 MMSIM prelude contributed (counted inside
-  /// `iterations`; 0 for full-double solves and for PSOR/Lemke).
-  std::size_t mixed_iterations = 0;
   bool converged = false;
   /// True when the solve started from a matching warm-start payload in its
   /// workspace slot (MMSIM's s, PSOR's z). Always false for cold solves and

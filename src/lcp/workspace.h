@@ -9,12 +9,12 @@
 // reuse capacity.
 //
 // A Slot also carries the previous solve's final iterate for that slot
-// (MMSIM's splitting vector s, PSOR's z). The tiered partition path warm-
-// starts from it when the shapes still match; warm starts change only the
-// iteration count, never the fixed point, so tiered results stay within
-// solver tolerance of the monolithic reference. The lockstep (kMatch) and
-// monolithic paths never warm-start — they are bitwise-contracted to the
-// cold-start reference.
+// (MMSIM's splitting vector s, PSOR's z). A warm-started solve starts from
+// it when the shapes still match; warm starts change only the iteration
+// count, never the fixed point. One-shot legalize calls drop every payload
+// on entry (forget_warm_starts), so only solves inside one call — the
+// escalated retry — and the session's ECO slots, keyed by anchor cell,
+// ever start warm.
 //
 // Lifetime / thread-safety rules:
 //   * prepare() must run with no solve in flight; it only grows the table.

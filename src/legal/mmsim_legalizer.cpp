@@ -1,8 +1,6 @@
 #include "legal/mmsim_legalizer.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -22,7 +20,6 @@ namespace mch::legal {
 
 namespace {
 
-using lcp::MmsimResidualPartials;
 using lcp::MmsimSolver;
 using lcp::Vector;
 using runtime::parallel_for;
@@ -78,21 +75,6 @@ void staged_component_loop(std::size_t num, bool staged, ExtractFn&& extract,
   });
 }
 
-PartitionMode resolve_partition_mode(PartitionMode requested) {
-  if (requested != PartitionMode::kAuto) return requested;
-  if (const char* env = std::getenv("MCH_PARTITION")) {
-    const std::string value(env);
-    if (value == "off") return PartitionMode::kOff;
-    if (value == "match") return PartitionMode::kMatch;
-    if (value == "tiered") return PartitionMode::kTiered;
-    if (!value.empty()) {
-      MCH_LOG(kWarn) << "unknown MCH_PARTITION value '" << value
-                     << "'; using match";
-    }
-  }
-  return PartitionMode::kMatch;
-}
-
 /// What every solve driver produces; one shared epilogue consumes it.
 struct SolveOutcome {
   Vector x;  ///< global primal solution
@@ -104,30 +86,7 @@ struct SolveOutcome {
   std::vector<std::size_t> clamped_cells;
 };
 
-/// Extracts every component sub-problem. Element slots are pre-sized so the
-/// parallel writes are disjoint and the result is schedule-independent.
-std::vector<ComponentProblem> extract_components(
-    const LegalizationModel& model, const ConstraintPartition& partition) {
-  std::vector<ComponentProblem> components(partition.num_components());
-  parallel_for(std::size_t{0}, components.size(), kGrainComponents,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t c = lo; c < hi; ++c)
-                   components[c] = model.component_problem(
-                       partition.component_variables[c],
-                       partition.component_constraints[c]);
-               });
-  return components;
-}
-
-/// Scatters each component's primal part into the global x.
-void scatter_primal(const std::vector<ComponentProblem>& components,
-                    const std::vector<Vector>& local_x, Vector& x) {
-  for (std::size_t c = 0; c < components.size(); ++c)
-    for (std::size_t v = 0; v < components[c].variables.size(); ++v)
-      x[components[c].variables[v]] = local_x[c][v];
-}
-
-/// Monolithic reference path (PartitionMode::kOff). Iterates in workspace
+/// Monolithic oracle path (PartitionMode::kOff). Iterates in workspace
 /// slot 0's buffers (always from the cold start, so results are unchanged)
 /// to avoid reallocating the iteration state on every outer call.
 SolveOutcome solve_monolithic(const LegalizationModel& model,
@@ -145,93 +104,10 @@ SolveOutcome solve_monolithic(const LegalizationModel& model,
                    << " iterations (delta " << result.final_delta << ")";
   }
   stats.phase.accumulate(result.phase);
-  stats.mixed_iterations += result.mixed_iterations;
   SolveOutcome outcome;
   outcome.x = std::move(result.x);
   outcome.iterations = result.iterations;
   outcome.converged = result.converged;
-  return outcome;
-}
-
-/// Lockstep driver (PartitionMode::kMatch): every component advances one
-/// MMSIM iteration per round, and the stopping rule is the monolithic one —
-/// per-component deltas and residual partials fold by max, which is exactly
-/// the ∞-norm of the concatenated system. All iterates are therefore
-/// bitwise equal to the monolithic solver's, at any thread count.
-SolveOutcome solve_lockstep(const LegalizationModel& model,
-                            const std::vector<ComponentProblem>& components,
-                            const lcp::MmsimOptions& mmsim_options,
-                            lcp::SolverWorkspace& workspace,
-                            MmsimLegalizerStats& stats) {
-  obs::TraceSpan span("solve.lockstep");
-  const std::size_t num = components.size();
-  span.arg("components", num);
-  workspace.prepare(num);
-  std::vector<std::unique_ptr<MmsimSolver>> solvers(num);
-  // States live in the workspace slots: reset_state() reuses their capacity,
-  // so re-entering the legalizer allocates nothing per component here. The
-  // start is always cold — kMatch is bitwise-contracted to the monolithic
-  // reference.
-  parallel_for(std::size_t{0}, num, kGrainComponents,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t c = lo; c < hi; ++c) {
-                   solvers[c] = std::make_unique<MmsimSolver>(
-                       components[c].qp, mmsim_options,
-                       &components[c].schur_coupling_breaks);
-                   solvers[c]->reset_state(workspace.slot(c).state);
-                 }
-               });
-
-  std::vector<double> deltas(num, 0.0);
-  std::vector<MmsimResidualPartials> partials(num);
-  SolveOutcome outcome;
-  for (std::size_t k = 0; k < mmsim_options.max_iterations; ++k) {
-    parallel_for(std::size_t{0}, num, kGrainComponents,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t c = lo; c < hi; ++c)
-                     deltas[c] = solvers[c]->step(workspace.slot(c).state);
-                 });
-    double delta = 0.0;
-    for (const double d : deltas) delta = std::max(delta, d);
-    outcome.iterations = k + 1;
-    if (k > 0 && delta < mmsim_options.tolerance) {
-      bool stop = true;
-      if (mmsim_options.residual_check) {
-        parallel_for(std::size_t{0}, num, kGrainComponents,
-                     [&](std::size_t lo, std::size_t hi) {
-                       for (std::size_t c = lo; c < hi; ++c)
-                         partials[c] = solvers[c]->residual_partials(
-                             workspace.slot(c).state.z);
-                     });
-        MmsimResidualPartials merged;
-        for (const MmsimResidualPartials& p : partials) merged.merge_max(p);
-        stop = MmsimSolver::residual_ok(merged,
-                                        mmsim_options.residual_tolerance);
-      }
-      if (stop) {
-        outcome.converged = true;
-        break;
-      }
-    }
-  }
-  if (!outcome.converged) {
-    MCH_LOG(kWarn) << "lockstep MMSIM did not converge in "
-                   << outcome.iterations << " iterations over " << num
-                   << " components";
-  }
-
-  // Scatter the primal prefix of each component's iterate straight from the
-  // workspace (the slot keeps its buffers for the next call).
-  outcome.x.assign(model.num_variables(), 0.0);
-  for (std::size_t c = 0; c < num; ++c) {
-    const Vector& z = workspace.slot(c).state.z;
-    for (std::size_t v = 0; v < components[c].variables.size(); ++v)
-      outcome.x[components[c].variables[v]] = z[v];
-    stats.phase.accumulate(workspace.slot(c).state.phase);
-  }
-
-  stats.components_mmsim = num;
-  stats.component_iterations = outcome.iterations * num;
   return outcome;
 }
 
@@ -246,117 +122,42 @@ lcp::LcpSolverKind pick_solver(std::size_t num_variables,
   return lcp::LcpSolverKind::kMmsim;
 }
 
-lcp::LcpSolverKind pick_solver(const ComponentProblem& component,
-                               const SolverPolicy& policy) {
-  return pick_solver(component.variables.size(), component.constraints.size(),
-                     policy);
+/// Solver configuration of one component: the MMSIM options, the
+/// component's Schur coupling breaks, and a PSOR stopping rule matched to
+/// MMSIM's so the tiers agree on accuracy.
+lcp::LcpSolverConfig component_config(const lcp::MmsimOptions& mmsim_options,
+                                      const ComponentProblem& component) {
+  lcp::LcpSolverConfig config;
+  config.mmsim = mmsim_options;
+  config.schur_coupling_breaks = &component.schur_coupling_breaks;
+  config.psor.tolerance = mmsim_options.tolerance;
+  config.psor.max_iterations = mmsim_options.max_iterations;
+  return config;
 }
 
 /// Tiered driver (PartitionMode::kTiered): each component gets the solver
 /// its size calls for and terminates independently — the sum of iterations
 /// across components is what the decomposition saves versus running every
-/// component to the globally slowest count.
+/// component to the globally slowest count. Each worker extracts one
+/// component sub-problem, solves it, scatters its primal part into the
+/// global x, and releases it before taking the next. Components are visited
+/// largest-first so the big extractions never pile up concurrently behind
+/// the tail — the solve's high-water mark holds at most one sub-problem per
+/// pool thread. Each result depends only on the component's QP and its
+/// workspace slot (keyed by component id), and the stats fold in
+/// component-id order regardless of schedule.
 SolveOutcome solve_tiered(const LegalizationModel& model,
-                          const std::vector<ComponentProblem>& components,
+                          const ConstraintPartition& partition,
                           const lcp::MmsimOptions& mmsim_options,
-                          const SolverPolicy& policy,
+                          const SolverPolicy& policy, bool staged,
                           lcp::SolverWorkspace& workspace,
                           MmsimLegalizerStats& stats) {
-  const std::size_t num = components.size();
+  const std::size_t num = partition.num_components();
   workspace.prepare(num);
   // Zeroed on entry so an escalated-retry pass overwrites the counters of
   // the failed pass instead of double-counting.
   stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
   stats.component_iterations = 0;
-  stats.mixed_iterations = 0;
-  std::vector<lcp::LcpSolverKind> kinds(num);
-  std::vector<lcp::LcpSolveResult> results(num);
-  parallel_for(
-      std::size_t{0}, num, kGrainComponents,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t c = lo; c < hi; ++c) {
-          kinds[c] = pick_solver(components[c], policy);
-          obs::TraceSpan span("solve.component");
-          span.arg("component", c)
-              .arg("vars", components[c].variables.size())
-              .arg("rows", components[c].constraints.size())
-              .arg("solver", lcp::to_string(kinds[c]));
-          lcp::LcpSolverConfig config;
-          config.mmsim = mmsim_options;
-          config.schur_coupling_breaks = &components[c].schur_coupling_breaks;
-          // Match the MMSIM stopping quality so the tiers agree on accuracy.
-          config.psor.tolerance = mmsim_options.tolerance;
-          config.psor.max_iterations = mmsim_options.max_iterations;
-          // Workspace-backed, warm-started solve: slot c keeps the previous
-          // pass's iterate for this component slot, and the solver starts
-          // from it when the shape still matches. Tiered mode terminates
-          // per component on tolerance anyway, so a warm start only trims
-          // iterations — kOff/kMatch stay cold to keep their bitwise
-          // contracts. Slots are distinct per component, so the parallel
-          // solves never share one.
-          results[c] =
-              lcp::make_lcp_solver(kinds[c], components[c].qp, config)
-                  ->solve(&workspace.slot(c), /*warm_start=*/true);
-          span.arg("iterations", results[c].iterations)
-              .arg("warm", results[c].warm_started);
-        }
-      });
-
-  SolveOutcome outcome;
-  outcome.converged = true;
-  std::vector<Vector> local_x(num);
-  for (std::size_t c = 0; c < num; ++c) {
-    switch (kinds[c]) {
-      case lcp::LcpSolverKind::kMmsim:
-        ++stats.components_mmsim;
-        break;
-      case lcp::LcpSolverKind::kPsor:
-        ++stats.components_psor;
-        break;
-      case lcp::LcpSolverKind::kLemke:
-        ++stats.components_lemke;
-        break;
-    }
-    stats.component_iterations += results[c].iterations;
-    stats.mixed_iterations += results[c].mixed_iterations;
-    stats.phase.accumulate(results[c].phase);
-    outcome.iterations = std::max(outcome.iterations, results[c].iterations);
-    if (!results[c].converged) {
-      outcome.converged = false;
-      MCH_LOG(kWarn) << "component " << c << " ("
-                     << lcp::to_string(kinds[c]) << ", size "
-                     << components[c].variables.size() +
-                            components[c].constraints.size()
-                     << ") did not converge in " << results[c].iterations
-                     << " iterations";
-    }
-    local_x[c] = std::move(results[c].x);
-  }
-  outcome.x.assign(model.num_variables(), 0.0);
-  scatter_primal(components, local_x, outcome.x);
-  return outcome;
-}
-
-/// Component-at-a-time tiered driver: each worker extracts one component
-/// sub-problem, solves it, scatters its primal part into the global x, and
-/// releases it before taking the next. Components are visited largest-first
-/// so the big extractions never pile up concurrently behind the tail — the
-/// solve's high-water mark holds at most one sub-problem per pool thread
-/// instead of every component at once. Per-component results are identical
-/// to solve_tiered's: each depends only on the component's QP and its
-/// workspace slot (still keyed by component id), and the stats fold in
-/// component-id order regardless of schedule.
-SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
-                                   const ConstraintPartition& partition,
-                                   const lcp::MmsimOptions& mmsim_options,
-                                   const SolverPolicy& policy, bool staged,
-                                   lcp::SolverWorkspace& workspace,
-                                   MmsimLegalizerStats& stats) {
-  const std::size_t num = partition.num_components();
-  workspace.prepare(num);
-  stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
-  stats.component_iterations = 0;
-  stats.mixed_iterations = 0;
 
   std::vector<std::size_t> order(num);
   for (std::size_t c = 0; c < num; ++c) order[c] = c;
@@ -393,13 +194,13 @@ SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
             .arg("vars", vars.size())
             .arg("rows", rows.size())
             .arg("solver", lcp::to_string(kinds[c]));
-        lcp::LcpSolverConfig config;
-        config.mmsim = mmsim_options;
-        config.schur_coupling_breaks = &component.schur_coupling_breaks;
-        config.psor.tolerance = mmsim_options.tolerance;
-        config.psor.max_iterations = mmsim_options.max_iterations;
-        results[c] = lcp::make_lcp_solver(kinds[c], component.qp, config)
-                         ->solve(&workspace.slot(c), /*warm_start=*/true);
+        // Warm-starts only from a failed pass of this same call (the
+        // escalated retry): the call dropped every older payload on entry.
+        // Slots are distinct per component, so the solves never share one.
+        results[c] =
+            lcp::make_lcp_solver(kinds[c], component.qp,
+                                 component_config(mmsim_options, component))
+                ->solve(&workspace.slot(c), /*warm_start=*/true);
         span.arg("iterations", results[c].iterations)
             .arg("warm", results[c].warm_started);
         // Scatter and drop the local solution before the next extraction.
@@ -424,7 +225,6 @@ SolveOutcome solve_tiered_streamed(const LegalizationModel& model,
         break;
     }
     stats.component_iterations += results[c].iterations;
-    stats.mixed_iterations += results[c].mixed_iterations;
     stats.phase.accumulate(results[c].phase);
     outcome.iterations = std::max(outcome.iterations, results[c].iterations);
     if (!results[c].converged) {
@@ -477,7 +277,6 @@ SolveOutcome recover_components(const db::Design& design,
   outcome.clamped_cells = std::move(report.clamped_cells);
 
   stats.phase.accumulate(report.phase);
-  stats.mixed_iterations += report.mixed_iterations;
   // Historical semantics: every component counts as routed through the
   // ladder here (the report itself only counts beyond-primary ladders).
   stats.recovery.component_ladders += num;
@@ -524,17 +323,11 @@ ComponentSolveReport solve_components(const db::Design& design,
             .arg("solver", lcp::to_string(kinds[c]));
         // Extract, solve, scatter, release: at most two sub-problems per
         // lane are ever live (the staged one plus the solving one),
-        // whatever the job count.
-        lcp::LcpSolverConfig config;
-        config.mmsim = options.mmsim;
-        config.schur_coupling_breaks = &component.schur_coupling_breaks;
-        config.psor.tolerance = options.mmsim.tolerance;
-        config.psor.max_iterations = options.mmsim.max_iterations;
-        // Distinct jobs must hold distinct slots (the caller's contract),
-        // so the parallel solves never share one.
+        // whatever the job count. Distinct jobs must hold distinct slots
+        // (the caller's contract), so the parallel solves never share one.
         recovered[c] = lcp::solve_with_recovery(
-            kinds[c], component.qp, config, recovery, jobs[c].slot,
-            /*warm_start=*/true);
+            kinds[c], component.qp, component_config(options.mmsim, component),
+            recovery, jobs[c].slot, /*warm_start=*/true);
         span.arg("iterations", recovered[c].result.iterations)
             .arg("rung", lcp::to_string(recovered[c].rung));
         if (recovered[c].rung != lcp::RecoveryRung::kExhausted) {
@@ -601,7 +394,6 @@ ComponentSolveReport solve_components(const db::Design& design,
       // released.
       report.iterations = std::max(report.iterations, rec.result.iterations);
       report.component_iterations += rec.result.iterations;
-      report.mixed_iterations += rec.result.mixed_iterations;
       report.phase.accumulate(rec.result.phase);
     }
   }
@@ -623,14 +415,10 @@ std::string SolveFailure::summary() const {
 
 const char* to_string(PartitionMode mode) {
   switch (mode) {
-    case PartitionMode::kAuto:
-      return "auto";
-    case PartitionMode::kOff:
-      return "off";
-    case PartitionMode::kMatch:
-      return "match";
     case PartitionMode::kTiered:
       return "tiered";
+    case PartitionMode::kOff:
+      return "off";
   }
   return "unknown";
 }
@@ -639,8 +427,7 @@ MmsimLegalizerStats mmsim_legalize_continuous(
     db::Design& design, const RowAssignment& base_rows,
     const MmsimLegalizerOptions& options) {
   MmsimLegalizerStats stats;
-
-  const PartitionMode mode = resolve_partition_mode(options.partition);
+  const PartitionMode mode = options.partition;
 
   // Partition state, declared before the model so the streamed build can
   // deposit the partition as a by-product of constraint emission.
@@ -651,7 +438,7 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   LegalizationModel built_model;
   if (options.prebuilt_model == nullptr) {
     obs::TraceSpan span("legalize.model_build");
-    // Partitioned modes fold the union-find into the streaming build: the
+    // The tiered mode folds the union-find into the streaming build: the
     // edges are united as each constraint row is emitted, so the separate
     // whole-model partition walk disappears.
     const bool want_partition = mode != PartitionMode::kOff;
@@ -677,14 +464,6 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   obs::sample_rss("model_build");
 
   lcp::MmsimOptions mmsim_options = options.mmsim;
-
-  // Mixed precision engages only under kTiered, whose components already
-  // terminate independently. kOff and kMatch carry the off↔match bitwise
-  // contract, which only the full-double iterate honors — forcing kDouble
-  // here keeps that contract intact even under MCH_PRECISION=mixed.
-  if (mode != PartitionMode::kTiered)
-    mmsim_options.precision = lcp::MmsimPrecision::kDouble;
-  stats.precision_used = mmsim_options.precision;
   stats.simd_level = linalg::simd_level();
 
   // Wall clock over the entire solve section — auto-θ probe, partitioning,
@@ -694,9 +473,6 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   std::optional<obs::TraceSpan> solve_span;
   solve_span.emplace("legalize.solve");
   solve_span->arg("mode", to_string(mode))
-      .arg("precision", mmsim_options.precision == lcp::MmsimPrecision::kMixed
-                            ? "mixed"
-                            : "double")
       .arg("simd", linalg::simd_level_name(stats.simd_level));
   Timer solve_timer;
   if (options.auto_theta) {
@@ -718,11 +494,15 @@ MmsimLegalizerStats mmsim_legalize_continuous(
   static thread_local lcp::SolverWorkspace default_workspace;
   lcp::SolverWorkspace& workspace =
       options.workspace != nullptr ? *options.workspace : default_workspace;
+  // Cold start: payloads left by earlier calls describe unrelated problems
+  // (component ids are renumbered per design), and warm-starting from them
+  // would make the result depend on call history. Only the escalated retry
+  // below reuses an iterate — the failed pass of this same call.
+  workspace.forget_warm_starts();
 
-  // Partition lazily: the partitioned modes need it up front (streamed out
-  // of the model build above, or handed in by the session), the monolithic
+  // Partition lazily: the tiered mode needs it up front (streamed out of
+  // the model build above, or handed in by the session), the monolithic
   // mode only on the recovery path.
-  std::vector<ComponentProblem> components;
   bool partitioned = false;
   const auto ensure_partitioned = [&] {
     if (partitioned) return;
@@ -737,12 +517,6 @@ MmsimLegalizerStats mmsim_legalize_continuous(
     stats.num_components = partition.num_components();
     stats.max_component_size = partition.max_component_size();
     stats.mean_component_size = partition.mean_component_size();
-    // Lockstep needs every per-component solver alive at once, so kMatch
-    // always extracts everything up front; the streamed tiered/recovery
-    // drivers extract one component per worker instead, unless the legacy
-    // extract-all layout was requested.
-    if (mode == PartitionMode::kMatch || !options.component_at_a_time)
-      components = extract_components(model, partition);
     partitioned = true;
     span.arg("components", partition.num_components())
         .arg("max_size", partition.max_component_size());
@@ -757,16 +531,8 @@ MmsimLegalizerStats mmsim_legalize_continuous(
       o = solve_monolithic(model, mo, workspace, stats);
     } else {
       ensure_partitioned();
-      if (mode == PartitionMode::kMatch) {
-        o = solve_lockstep(model, components, mo, workspace, stats);
-      } else if (options.component_at_a_time) {
-        o = solve_tiered_streamed(model, partition, mo, options.policy,
-                                  options.staged_extraction, workspace,
-                                  stats);
-      } else {
-        o = solve_tiered(model, components, mo, options.policy, workspace,
-                         stats);
-      }
+      o = solve_tiered(model, partition, mo, options.policy,
+                       options.staged_extraction, workspace, stats);
     }
     ++attempts;
     // Fault injection: the mode-level solve and its escalated retry consume
@@ -782,16 +548,11 @@ MmsimLegalizerStats mmsim_legalize_continuous(
 
   if (!outcome.converged && recovery.enabled) {
     // Rung 1 (whole solve): escalated parameters. θ* is re-probed on the
-    // monolithic system so kOff and kMatch retries stay bitwise identical
-    // to each other, preserving the lockstep contract under recovery.
+    // monolithic system, so both modes retry with the same θ*.
     ++stats.recovery.escalations;
     obs::counter("recovery.escalations").add();
     stats.recovery.extra_iterations += outcome.iterations;
     lcp::MmsimOptions escalated = mmsim_options;
-    // Recovery always runs full double: a solve that failed (or stalled
-    // out of) the mixed iterate must not retry with the same reduced
-    // precision that may have caused the failure.
-    escalated.precision = lcp::MmsimPrecision::kDouble;
     if (recovery.reprobe_theta && model.qp.num_constraints() > 0) {
       const MmsimSolver probe(model.qp, mmsim_options);
       escalated.theta = probe.suggest_theta();
@@ -813,10 +574,7 @@ MmsimLegalizerStats mmsim_legalize_continuous(
       ladder.forced_failures = recovery.forced_failures > attempts
                                    ? recovery.forced_failures - attempts
                                    : 0;
-      // Same full-double rule for the per-component ladder (see above).
-      lcp::MmsimOptions ladder_mmsim = mmsim_options;
-      ladder_mmsim.precision = lcp::MmsimPrecision::kDouble;
-      outcome = recover_components(design, model, partition, ladder_mmsim,
+      outcome = recover_components(design, model, partition, mmsim_options,
                                    options.policy, ladder, workspace, stats);
       theta_used = escalated.theta;
     }

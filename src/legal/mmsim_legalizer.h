@@ -8,22 +8,19 @@
 // The solve decomposes over the connected components of the constraint
 // graph (legal/partition.h): obstacles break the row chains, and rows that
 // share no tall cell are independent, so real designs fall apart into many
-// small sub-problems. Three execution modes:
+// small sub-problems. One production path and one oracle:
 //
-//   * kOff    — the legacy monolithic solve (escape hatch / reference);
-//   * kMatch  — per-component MMSIM solvers advanced in lockstep under the
-//               monolithic stopping rule. Every kernel of the iteration is
-//               elementwise, per-block, per-row, or max-fold, so the
-//               per-component iterates are bitwise identical to the
-//               monolithic iterates restricted to the component — this mode
-//               produces the exact monolithic result while parallelizing
-//               the otherwise-serial Thomas stage across components;
-//   * kTiered — per-component solver choice by SolverPolicy (exact Lemke
-//               pivoting for tiny components, PSOR for constraint-free
-//               ones, MMSIM otherwise) with independent termination: each
-//               component stops as soon as *it* converges, which is where
-//               the decomposition's iteration savings come from. Results
-//               agree with the monolithic solve to solver tolerance.
+//   * kTiered — the default: per-component solver choice by SolverPolicy
+//               (exact Lemke pivoting for tiny components, PSOR for
+//               constraint-free ones, MMSIM otherwise) with independent
+//               termination — each component stops as soon as *it*
+//               converges, which is where the decomposition's iteration
+//               savings come from. Components are extracted, solved and
+//               released one per worker, largest first. Every solve starts
+//               cold, so the result is a pure function of (design, options):
+//               bitwise identical at any thread count, schedule or caller.
+//   * kOff    — the paper-literal monolithic solve, kept as the oracle the
+//               tiered result is checked against (to solver tolerance).
 #pragma once
 
 #include <cstddef>
@@ -43,12 +40,8 @@ namespace mch::legal {
 
 /// How the legalizer decomposes (or not) the relaxed LCP.
 enum class PartitionMode {
-  /// Resolve from the MCH_PARTITION environment variable
-  /// ("off" | "match" | "tiered"); defaults to kMatch when unset.
-  kAuto,
-  kOff,     ///< monolithic solve — the pre-decomposition code path
-  kMatch,   ///< lockstep per-component MMSIM, bitwise equal to kOff
   kTiered,  ///< per-component solver policy + independent termination
+  kOff,     ///< monolithic solve — the oracle
 };
 
 const char* to_string(PartitionMode mode);
@@ -116,20 +109,17 @@ struct MmsimLegalizerOptions {
   ModelOptions model;        ///< λ penalty (paper: 1000)
   lcp::MmsimOptions mmsim;   ///< β*, θ*, γ, tolerance (paper: 0.5/0.5)
   /// When true, θ* is re-derived from the Theorem-2 bound via power
-  /// iteration instead of using options.mmsim.theta. Under partitioning the
-  /// probe runs on the monolithic system, so the derived θ* is identical in
-  /// every mode.
+  /// iteration instead of using options.mmsim.theta. The probe runs on the
+  /// monolithic system, so the derived θ* is identical in both modes.
   bool auto_theta = false;
-  PartitionMode partition = PartitionMode::kAuto;
+  PartitionMode partition = PartitionMode::kTiered;
   SolverPolicy policy;       ///< used by PartitionMode::kTiered
   /// Solver scratch arena reused across components and across calls (see
   /// lcp/workspace.h). Not owned; must outlive the call. When null the
   /// legalizer uses a thread-local default arena, so repeated calls from
-  /// the same thread still reuse buffers. Pass an explicit arena to share
-  /// warm starts across call sites or to control its lifetime. Only the
-  /// tiered mode warm-starts from the arena's previous solutions; kOff and
-  /// kMatch use it for buffer reuse only, preserving their bitwise
-  /// cold-start contracts.
+  /// the same thread still reuse buffers. Either way the call drops the
+  /// arena's warm-start payloads on entry: the arena is for buffer reuse,
+  /// and every solve of a call starts cold.
   lcp::SolverWorkspace* workspace = nullptr;
   /// Non-convergence escalation ladder (see lcp/solver.h). forced_failures
   /// is additionally resolved from MCH_FORCE_SOLVER_FAILURE for the
@@ -141,18 +131,8 @@ struct MmsimLegalizerOptions {
   /// result is continuous (pre-snap), so the tolerance must absorb solver
   /// tolerance and residual λ-mismatch; 1e-2 is far below a site width.
   double audit_tolerance = 1e-2;
-  /// Component-at-a-time scheduling for kTiered and the recovery rungs:
-  /// each worker extracts one component sub-problem, solves it, scatters
-  /// the solution, and releases it before taking the next, visiting
-  /// components largest-first. The solve's high-water mark then holds at
-  /// most one extracted sub-problem per pool thread instead of every
-  /// component at once. Per-component results are unchanged (each depends
-  /// only on its own QP and workspace slot); false restores the legacy
-  /// extract-everything-up-front layout. kMatch always extracts all — its
-  /// lockstep driver needs every per-component solver alive at once.
-  bool component_at_a_time = true;
 
-  /// Double-buffered staging for the component-at-a-time drivers: each lane
+  /// Double-buffered staging for the component drivers: each lane
   /// extracts the next component's gather tables before the current solve
   /// occupies it, so solves never wait on extraction (at most two live
   /// sub-problems per lane). Results are unchanged — extraction is pure and
@@ -175,7 +155,7 @@ struct MmsimLegalizerOptions {
   /// the restored cell positions are means of).
   lcp::Vector* solution_out = nullptr;
   /// When set, receives the constraint partition if the solve computed one
-  /// (always under kMatch/kTiered; under kOff only when recovery had to
+  /// (always under kTiered; under kOff only when recovery had to
   /// decompose). Left empty otherwise.
   ConstraintPartition* partition_out = nullptr;
 };
@@ -183,8 +163,8 @@ struct MmsimLegalizerOptions {
 struct MmsimLegalizerStats {
   std::size_t num_variables = 0;
   std::size_t num_constraints = 0;
-  /// Monolithic / kMatch: global MMSIM iterations. kTiered: the maximum
-  /// over components — the parallel critical path.
+  /// kOff: global MMSIM iterations. kTiered: the maximum over components —
+  /// the parallel critical path.
   std::size_t iterations = 0;
   bool converged = false;
   double max_mismatch = 0.0;     ///< worst subcell disagreement before restore
@@ -200,19 +180,12 @@ struct MmsimLegalizerStats {
   std::size_t max_component_size = 0;    ///< largest per-component n + m
   double mean_component_size = 0.0;
   std::size_t components_mmsim = 0;      ///< components solved by MMSIM
-  std::size_t components_psor = 0;       ///< ... by PSOR (kTiered only)
-  std::size_t components_lemke = 0;      ///< ... by Lemke (kTiered only)
+  std::size_t components_psor = 0;       ///< ... by PSOR
+  std::size_t components_lemke = 0;      ///< ... by Lemke
   /// Total iterations (or Lemke pivots) summed over components. Under
   /// kTiered this is the decomposition's headline saving: components stop
   /// independently instead of all running to the slowest one's count.
   std::size_t component_iterations = 0;
-  /// Iterations the float32 MMSIM prelude contributed, summed over
-  /// components (0 unless the mixed-precision iterate actually ran).
-  std::size_t mixed_iterations = 0;
-  /// The iterate precision that actually ran: the requested precision after
-  /// the mode gate (mixed is forced back to double outside kTiered and
-  /// inside the recovery ladder).
-  lcp::MmsimPrecision precision_used = lcp::MmsimPrecision::kDouble;
   /// Active SIMD dispatch level during the solve.
   linalg::SimdLevel simd_level = linalg::SimdLevel::kScalar;
   /// Per-phase MMSIM solve time summed over components in component order
@@ -252,7 +225,6 @@ struct ComponentSolveJob {
 struct ComponentSolveReport {
   std::size_t iterations = 0;            ///< max over jobs (critical path)
   std::size_t component_iterations = 0;  ///< summed over jobs
-  std::size_t mixed_iterations = 0;      ///< float32-prelude share, summed
   std::size_t components_mmsim = 0;
   std::size_t components_psor = 0;
   std::size_t components_lemke = 0;

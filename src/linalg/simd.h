@@ -8,13 +8,13 @@
 // mid-process with set_simd_level().
 //
 //   MCH_SIMD=0|off|scalar   force the scalar reference kernels
-//   MCH_SIMD=avx2           cap at AVX2 (4-wide double / 8-wide float)
-//   MCH_SIMD=avx512         cap at AVX-512 (8-wide double / 16-wide float)
+//   MCH_SIMD=avx2           cap at AVX2 (4-wide double)
+//   MCH_SIMD=avx512         cap at AVX-512 (8-wide double)
 //   MCH_SIMD=auto (default) highest level the CPU reports
 //
-// The SIMD double kernels are bitwise identical to the scalar reference
-// (see ALGORITHM.md par.13), so the level is a pure performance knob;
-// determinism contracts (`match`, `.mt4`) hold at every level.
+// The SIMD kernels are bitwise identical to the scalar reference (see
+// ALGORITHM.md par.13), so the level is a pure performance knob;
+// determinism contracts (thread counts, `.mt4`) hold at every level.
 #pragma once
 
 namespace mch::linalg {

@@ -34,8 +34,7 @@ class Tridiagonal {
   double& upper(std::size_t i) { return upper_[i]; }
   double upper(std::size_t i) const { return upper_[i]; }
 
-  /// Whole bands, for kernels that stream the matrix (lcp/mmsim_kernels.h)
-  /// and for building reduced-precision mirrors.
+  /// Whole bands, for kernels that stream the matrix (lcp/mmsim_kernels.h).
   const Vector& diag_data() const { return diag_; }
   const Vector& lower_data() const { return lower_; }
   const Vector& upper_data() const { return upper_; }
@@ -93,12 +92,6 @@ class TridiagonalFactorization {
   /// Solves T x = rhs using the precomputed coefficients. `scratch` holds
   /// the forward-sweep values; no allocation once it has grown to size.
   void solve(const Vector& rhs, Vector& x, Vector& scratch) const;
-
-  /// Factor arrays, exposed so the mixed-precision iterate can run the same
-  /// recurrence on float32 copies (lcp/mmsim.cpp).
-  const Vector& c_prime() const { return c_prime_; }
-  const Vector& inv_pivot() const { return inv_pivot_; }
-  const Vector& g() const { return g_; }
 
  private:
   Vector c_prime_;    ///< upper[i]/pivot[i], size n−1

@@ -24,7 +24,7 @@
 // chrome://tracing or https://ui.perfetto.dev.
 //
 // Tracing never touches solver state; every bitwise determinism contract
-// (match mode, .mt4, .simd-off) holds with tracing on or off
+// (thread counts, .mt4, .simd-off) holds with tracing on or off
 // (tests/obs/identity_test.cpp).
 #pragma once
 

@@ -30,7 +30,7 @@
 // state, and reductions fold in chunk-index order on the submitting thread.
 // Chunk *assignment* — which worker claims which chunk, what gets stolen —
 // only ever moves wall-clock time around; no observable result depends on
-// it. A queue of `match`-mode legalization requests is therefore bitwise
+// it. A queue of legalization requests is therefore bitwise
 // reproducible per request at any thread count and under any steal
 // schedule (tests/service/scheduler_determinism_test.cpp holds the line).
 //

@@ -35,6 +35,45 @@ SessionDisplacement measure_displacement(const db::Design& design) {
   return d;
 }
 
+/// Checks a whole ECO batch before any op applies, so a bad op rejects the
+/// batch instead of leaving it half applied. Replays the batch's effect on
+/// each cell's fixed/erased flags (inserts append ids, erases tombstone
+/// them) and applies the preconditions of db::Design's mutators to every
+/// op in order.
+void validate_ops(const db::Design& design, const std::vector<EcoOp>& ops) {
+  std::vector<char> fixed;
+  std::vector<char> erased;
+  fixed.reserve(design.num_cells() + ops.size());
+  erased.reserve(design.num_cells() + ops.size());
+  for (const db::Cell& cell : design.cells()) {
+    fixed.push_back(cell.fixed ? 1 : 0);
+    erased.push_back(cell.erased ? 1 : 0);
+  }
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const EcoOp& op = ops[k];
+    if (op.kind == EcoOp::Kind::kInsert) {
+      const db::Cell& cell = op.payload;
+      MCH_CHECK_MSG(cell.width > 0.0 && cell.height_rows >= 1 &&
+                        cell.height_rows <= design.chip().num_rows,
+                    "ECO op " << k << ": inserted cell has invalid size");
+      fixed.push_back(cell.fixed ? 1 : 0);
+      erased.push_back(0);
+      continue;
+    }
+    const bool move = op.kind == EcoOp::Kind::kMove;
+    const char* verb = move ? "move" : "erase";
+    MCH_CHECK_MSG(op.cell < fixed.size(),
+                  "ECO op " << k << ": " << verb << " of unknown cell "
+                            << op.cell);
+    MCH_CHECK_MSG(erased[op.cell] == 0, "ECO op " << k << ": " << verb
+                                                  << " of erased cell "
+                                                  << op.cell);
+    MCH_CHECK_MSG(!move || fixed[op.cell] == 0,
+                  "ECO op " << k << ": move of fixed cell " << op.cell);
+    if (!move) erased[op.cell] = 1;
+  }
+}
+
 }  // namespace
 
 const char* to_string(SolveMode mode) {
@@ -43,8 +82,8 @@ const char* to_string(SolveMode mode) {
       return "auto";
     case SolveMode::kIncremental:
       return "incremental";
-    case SolveMode::kMatch:
-      return "match";
+    case SolveMode::kFull:
+      return "full";
   }
   return "?";
 }
@@ -135,7 +174,7 @@ LegalizationSession::ApplyOutcome LegalizationSession::apply_ops(
   return out;
 }
 
-void LegalizationSession::run_full(bool force_match, SessionResult& result) {
+void LegalizationSession::run_full(SessionResult& result) {
   obs::TraceSpan span("session.run_full");
   {
     obs::TraceSpan rows_span("session.rows");
@@ -164,9 +203,6 @@ void LegalizationSession::run_full(bool force_match, SessionResult& result) {
   flow.solver.prebuilt_partition = &partition_;
   flow.solver.solution_out = &solution_;
   flow.solver.workspace = &workspace_full_;
-  // Forcing kMatch here (not via MCH_PARTITION) is what makes match-mode
-  // requests bitwise reproducible regardless of the environment.
-  if (force_match) flow.solver.partition = legal::PartitionMode::kMatch;
 
   Timer solve_timer;
   const legal::FlowResult flow_result = legal::legalize(design_, flow);
@@ -337,8 +373,6 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
   result.solver.components_psor = report.components_psor;
   result.solver.components_lemke = report.components_lemke;
   result.solver.component_iterations = report.component_iterations;
-  result.solver.mixed_iterations = report.mixed_iterations;
-  result.solver.precision_used = solver_options.mmsim.precision;
   result.solver.simd_level = linalg::simd_level();
   result.solver.phase = report.phase;
   result.solver.recovery = report.recovery;
@@ -398,7 +432,7 @@ SessionResult LegalizationSession::full_legalize(SolveMode mode) {
   {
     obs::TraceSpan span("session.request.full_legalize");
     span.arg("request", result.request_id).arg("mode", to_string(resolved));
-    run_full(/*force_match=*/resolved == SolveMode::kMatch, result);
+    run_full(result);
     finish(result);
     result.seconds = total.seconds();
   }
@@ -409,6 +443,7 @@ SessionResult LegalizationSession::full_legalize(SolveMode mode) {
 }
 
 SessionResult LegalizationSession::eco(const EcoRequest& request) {
+  validate_ops(design_, request.ops);
   SolveMode resolved =
       request.mode == SolveMode::kAuto ? options_.default_mode : request.mode;
   if (resolved == SolveMode::kAuto) resolved = SolveMode::kIncremental;
@@ -447,11 +482,11 @@ SessionResult LegalizationSession::eco(const EcoRequest& request) {
         ++result.session.full_solve_fallbacks;
         result.session.incremental = false;
         obs::counter("session.full_solve_fallbacks").add();
-        run_full(/*force_match=*/false, result);
+        run_full(result);
       }
     } else {
-      // Match mode, or no resident solve to be incremental against.
-      run_full(/*force_match=*/resolved == SolveMode::kMatch, result);
+      // Full mode, or no resident solve to be incremental against.
+      run_full(result);
     }
 
     finish(result);

@@ -25,9 +25,8 @@
 // therefore has a bit-identical local QP and an unchanged variable set —
 // its previous converged solution is still a converged solution, so it is
 // skipped entirely. Incremental results match a from-scratch solve to
-// solver tolerance; `match`-mode requests instead run the full lockstep
-// pipeline and are bitwise identical to a from-scratch legal::legalize of
-// the same design state.
+// solver tolerance; kFull requests instead re-solve everything and are
+// bitwise identical to a one-shot legal::legalize of the same design state.
 #pragma once
 
 #include <cstddef>
@@ -50,9 +49,9 @@ namespace mch::service {
 enum class SolveMode {
   kAuto,         ///< use SessionOptions::default_mode
   kIncremental,  ///< dirty components only; tolerance-level contract
-  /// Full lockstep pipeline, bitwise identical to a from-scratch
-  /// legal::legalize with PartitionMode::kMatch on the same design state.
-  kMatch,
+  /// Full re-solve, bitwise identical to a one-shot legal::legalize with
+  /// the same options on the same design state.
+  kFull,
 };
 
 const char* to_string(SolveMode mode);
@@ -176,7 +175,7 @@ struct SessionOptions {
 /// design. A session is not thread-safe: one request at a time per
 /// session. *Distinct* sessions are safe to drive from concurrent client
 /// threads — each request's component solves are scheduler jobs packed
-/// onto the shared worker pool (runtime/scheduler.h), and match-mode
+/// onto the shared worker pool (runtime/scheduler.h), and full-solve
 /// results stay bitwise equal to a serial one-shot legal::legalize
 /// (tests/service/scheduler_determinism_test.cpp).
 class LegalizationSession {
@@ -187,13 +186,15 @@ class LegalizationSession {
   const db::Design& design() const { return design_; }
   std::uint64_t num_requests() const { return next_request_; }
 
-  /// Runs the complete flow on the current design state. `mode` kMatch
-  /// forces the bitwise lockstep pipeline; kAuto/kIncremental run the
-  /// configured partition mode (a full solve is never incremental).
+  /// Runs the complete flow on the current design state; a full solve is
+  /// never incremental, whatever `mode` says (it only labels the result).
   SessionResult full_legalize(SolveMode mode = SolveMode::kAuto);
 
-  /// Applies the batch and re-solves. Incremental unless the request (or
-  /// default_mode) says kMatch, or no previous solve exists yet.
+  /// Validates the whole batch, applies it and re-solves. Incremental
+  /// unless the request (or default_mode) says kFull, or no previous solve
+  /// exists yet. Throws CheckError, leaving the session untouched, when an
+  /// op names a cell id out of range, moves a fixed cell, or touches an
+  /// erased cell (including one erased earlier in the same batch).
   SessionResult eco(const EcoRequest& request);
   SessionResult eco(std::vector<EcoOp> ops);
 
@@ -208,7 +209,7 @@ class LegalizationSession {
   struct ApplyOutcome;
 
   ApplyOutcome apply_ops(const std::vector<EcoOp>& ops);
-  void run_full(bool force_match, SessionResult& result);
+  void run_full(SessionResult& result);
   void run_incremental(const legal::PartitionDelta& delta,
                        SessionResult& result);
   void finish(SessionResult& result);
@@ -223,10 +224,10 @@ class LegalizationSession {
   legal::ConstraintPartition partition_;
   lcp::Vector solution_;  ///< continuous per-variable solution of model_
 
-  /// Full solves iterate in per-component-index slots; incremental solves
-  /// in slots keyed by a stable component anchor (the smallest cell id).
-  /// Separate arenas so the two numbering schemes never clobber each
-  /// other's warm-start payloads.
+  /// Full solves iterate in per-component-index slots and drop the arena's
+  /// warm-start payloads on entry; incremental solves warm-start from slots
+  /// keyed by a stable component anchor (the smallest cell id). Separate
+  /// arenas so a full solve never erases the ECO slots' payloads.
   lcp::SolverWorkspace workspace_full_;
   lcp::SolverWorkspace workspace_eco_;
   /// Component anchor (cell id of the component's first variable) → slot

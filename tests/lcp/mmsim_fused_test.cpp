@@ -21,16 +21,6 @@ bool bitwise_equal(const Vector& a, const Vector& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// The fused/unfused bitwise contract is a *double*-kernel contract: the
-/// mixed iterate engages only on the fused path (and carries no bitwise
-/// guarantee), so the suite pins kDouble instead of inheriting
-/// MCH_PRECISION from the environment.
-MmsimOptions double_options() {
-  MmsimOptions options;
-  options.precision = MmsimPrecision::kDouble;
-  return options;
-}
-
 legal::LegalizationModel make_model(std::size_t singles, std::size_t doubles,
                                     double density, std::uint64_t seed,
                                     double triple_fraction = 0.0,
@@ -48,7 +38,7 @@ legal::LegalizationModel make_model(std::size_t singles, std::size_t doubles,
 
 void expect_stepwise_bitwise(const legal::LegalizationModel& model,
                              std::size_t iterations) {
-  MmsimOptions options = double_options();
+  MmsimOptions options;
   options.fused = false;
   const MmsimSolver reference(model.qp, options);
   options.fused = true;
@@ -82,7 +72,7 @@ TEST(MmsimFusedTest, StepwiseBitwiseTallBlocks) {
 
 TEST(MmsimFusedTest, SolveResultsBitwiseIdentical) {
   const legal::LegalizationModel model = make_model(500, 60, 0.7, 17);
-  MmsimOptions options = double_options();
+  MmsimOptions options;
   options.tolerance = 1e-8;
   options.max_iterations = 50000;
   options.fused = false;
@@ -102,7 +92,7 @@ TEST(MmsimFusedTest, SolveResultsBitwiseIdentical) {
 // state is the same computation as solve_from on a fresh one.
 TEST(MmsimFusedTest, SolveInMatchesSolveFromBitwise) {
   const legal::LegalizationModel model = make_model(300, 30, 0.65, 23);
-  const MmsimSolver solver(model.qp, double_options());
+  const MmsimSolver solver(model.qp, MmsimOptions{});
   const MmsimResult fresh = solver.solve();
 
   MmsimSolver::State state = solver.make_state();

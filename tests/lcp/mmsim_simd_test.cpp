@@ -34,15 +34,6 @@ std::vector<linalg::SimdLevel> simd_levels_above_scalar() {
   return levels;
 }
 
-/// The cross-level bitwise contract is a *double*-kernel contract (the
-/// float kernels of mixed mode carry none), so the suite pins kDouble
-/// instead of inheriting MCH_PRECISION from the environment.
-MmsimOptions double_options() {
-  MmsimOptions options;
-  options.precision = MmsimPrecision::kDouble;
-  return options;
-}
-
 class LevelGuard {
  public:
   LevelGuard() : entry_(linalg::simd_level()) {}
@@ -72,7 +63,7 @@ legal::LegalizationModel make_model(std::size_t singles, std::size_t doubles,
 void expect_stepwise_bitwise(const legal::LegalizationModel& model,
                              std::size_t iterations) {
   LevelGuard guard;
-  const MmsimSolver solver(model.qp, double_options());
+  const MmsimSolver solver(model.qp, MmsimOptions{});
 
   linalg::set_simd_level(linalg::SimdLevel::kScalar);
   MmsimSolver::State ref_state = solver.make_state();
@@ -114,7 +105,7 @@ TEST(MmsimSimdTest, StepwiseBitwiseTallBlocks) {
 TEST(MmsimSimdTest, SolveResultsBitwiseAcrossLevels) {
   LevelGuard guard;
   const legal::LegalizationModel model = make_model(500, 60, 0.7, 17);
-  MmsimOptions options = double_options();
+  MmsimOptions options;
   options.tolerance = 1e-8;
   options.max_iterations = 50000;
   const MmsimSolver solver(model.qp, options);
@@ -143,7 +134,7 @@ TEST(MmsimSimdTest, SolveResultsBitwiseAcrossLevels) {
 TEST(MmsimSimdTest, UnfusedPathBitwiseAcrossLevels) {
   LevelGuard guard;
   const legal::LegalizationModel model = make_model(350, 50, 0.65, 29);
-  MmsimOptions options = double_options();
+  MmsimOptions options;
   options.fused = false;
   const MmsimSolver solver(model.qp, options);
 

@@ -4,9 +4,8 @@
 // design family the generator can produce — including the degenerate
 // fault-injection designs and the production-scale variant families — and
 // the partition streamed out of the build must equal partition_model run on
-// the finished model. A second group pins the component-at-a-time solve
-// schedule: toggling it must not change a single written-back position, and
-// kMatch must stay bitwise equal to the monolithic solve either way.
+// the finished model. A last test pins the staged extraction schedule:
+// toggling it must not change a single written-back position.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -159,7 +158,6 @@ TEST(ModelStreamTest, LegalizerPartitionOutMatchesPartitionModel) {
   db::Design reference = design;
 
   MmsimLegalizerOptions options;
-  options.partition = PartitionMode::kTiered;
   ConstraintPartition out;
   options.partition_out = &out;
   mmsim_legalize_continuous(design, assign_rows(design), options);
@@ -169,76 +167,35 @@ TEST(ModelStreamTest, LegalizerPartitionOutMatchesPartitionModel) {
   expect_partitions_identical(out, partition_model(oracle));
 }
 
-// Component-at-a-time scheduling must not change a single position: each
+// Double-buffered staging must not change a single position: each
 // component's solve depends only on its own sub-problem and workspace slot,
-// so extract-solve-release largest-first and extract-everything-up-front
-// write back identical bits.
-TEST(ModelStreamTest, ComponentAtATimeToggleWritesIdenticalPositions) {
+// so staged and unstaged extraction write back identical bits.
+TEST(ModelStreamTest, StagedExtractionToggleWritesIdenticalPositions) {
   for (const gen::ScaleVariant variant :
        {gen::ScaleVariant::kBaseline, gen::ScaleVariant::kObstacleHeavy}) {
     SCOPED_TRACE(gen::to_string(variant));
-    db::Design streamed_design =
-        gen::generate_scale_design(variant, 1500, 23);
-    db::Design legacy_design = streamed_design;
+    db::Design staged_design = gen::generate_scale_design(variant, 1500, 23);
+    db::Design unstaged_design = staged_design;
 
-    // Fresh arena per call: the default thread-local arena would carry the
-    // first call's solutions into the second as warm starts, which is a
-    // (legitimate) different starting point — not what this test pins.
-    lcp::SolverWorkspace workspace_on, workspace_off;
     MmsimLegalizerOptions options;
-    options.partition = PartitionMode::kTiered;
-    options.component_at_a_time = true;
-    options.workspace = &workspace_on;
+    options.staged_extraction = true;
     const MmsimLegalizerStats on = mmsim_legalize_continuous(
-        streamed_design, assign_rows(streamed_design), options);
+        staged_design, assign_rows(staged_design), options);
 
-    options.component_at_a_time = false;
-    options.workspace = &workspace_off;
+    options.staged_extraction = false;
     const MmsimLegalizerStats off = mmsim_legalize_continuous(
-        legacy_design, assign_rows(legacy_design), options);
+        unstaged_design, assign_rows(unstaged_design), options);
 
     EXPECT_EQ(on.converged, off.converged);
     EXPECT_EQ(on.num_components, off.num_components);
     EXPECT_EQ(on.component_iterations, off.component_iterations);
-    ASSERT_EQ(streamed_design.num_cells(), legacy_design.num_cells());
-    for (std::size_t c = 0; c < streamed_design.num_cells(); ++c) {
-      EXPECT_EQ(streamed_design.cells()[c].x, legacy_design.cells()[c].x)
+    ASSERT_EQ(staged_design.num_cells(), unstaged_design.num_cells());
+    for (std::size_t c = 0; c < staged_design.num_cells(); ++c) {
+      EXPECT_EQ(staged_design.cells()[c].x, unstaged_design.cells()[c].x)
           << "cell " << c;
-      EXPECT_EQ(streamed_design.cells()[c].y, legacy_design.cells()[c].y)
+      EXPECT_EQ(staged_design.cells()[c].y, unstaged_design.cells()[c].y)
           << "cell " << c;
     }
-  }
-}
-
-// kMatch ignores component_at_a_time (its lockstep driver needs every
-// per-component solver alive at once) and must stay bitwise equal to the
-// monolithic kOff solve with the flag in either state.
-TEST(ModelStreamTest, MatchModeBitwiseEqualToOffUnderToggle) {
-  db::Design off_design =
-      gen::generate_scale_design(gen::ScaleVariant::kBaseline, 800, 29);
-  db::Design match_design = off_design;
-  db::Design match_legacy_design = off_design;
-
-  MmsimLegalizerOptions options;
-  options.partition = PartitionMode::kOff;
-  mmsim_legalize_continuous(off_design, assign_rows(off_design), options);
-
-  options.partition = PartitionMode::kMatch;
-  options.component_at_a_time = true;
-  mmsim_legalize_continuous(match_design, assign_rows(match_design), options);
-  options.component_at_a_time = false;
-  mmsim_legalize_continuous(match_legacy_design,
-                            assign_rows(match_legacy_design), options);
-
-  for (std::size_t c = 0; c < off_design.num_cells(); ++c) {
-    EXPECT_EQ(match_design.cells()[c].x, off_design.cells()[c].x)
-        << "cell " << c;
-    EXPECT_EQ(match_legacy_design.cells()[c].x, off_design.cells()[c].x)
-        << "cell " << c;
-    EXPECT_EQ(match_design.cells()[c].y, off_design.cells()[c].y)
-        << "cell " << c;
-    EXPECT_EQ(match_legacy_design.cells()[c].y, off_design.cells()[c].y)
-        << "cell " << c;
   }
 }
 

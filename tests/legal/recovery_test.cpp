@@ -184,7 +184,6 @@ TEST_P(SurfacesFailurePerMode, OneIterationBudgetSurfacesNonConvergence) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, SurfacesFailurePerMode,
                          ::testing::Values(PartitionMode::kOff,
-                                           PartitionMode::kMatch,
                                            PartitionMode::kTiered),
                          [](const auto& info) {
                            return std::string(to_string(info.param));

@@ -1,9 +1,10 @@
 // Tracing/metrics must be pure observers: a legalization run with the
 // whole obs subsystem enabled must produce bitwise-identical placements,
 // iteration counts, and convergence flags to the same run with it
-// disabled. This is the determinism contract ALGORITHM.md ¶14 states, and
-// it is what lets the `.trace` ctest variants re-run the eval/service
-// suites with MCH_TRACE=1 and still rely on every numeric assertion.
+// disabled, on the default (tiered) solve path. This is the determinism
+// contract ALGORITHM.md ¶14 states, and it is what lets the `.trace` ctest
+// variants re-run the eval/service suites with MCH_TRACE=1 and still rely
+// on every numeric assertion.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -75,6 +76,8 @@ TEST(ObsIdentityTest, LegalizationIsBitwiseIdenticalWithTracingOnOrOff) {
   expect_bitwise_equal(off, on);
   EXPECT_EQ(off_result.legal, on_result.legal);
   EXPECT_EQ(off_result.solver.iterations, on_result.solver.iterations);
+  EXPECT_EQ(off_result.solver.component_iterations,
+            on_result.solver.component_iterations);
   EXPECT_EQ(off_result.solver.converged, on_result.solver.converged);
   EXPECT_EQ(off_result.solver.num_components, on_result.solver.num_components);
 }

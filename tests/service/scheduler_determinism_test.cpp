@@ -1,5 +1,6 @@
 // Scheduler determinism across designs: the same queue of mixed-size
-// match-mode requests must produce bitwise-identical positions per request
+// full-solve requests on the default (tiered) path must produce
+// bitwise-identical positions per request
 // at 1/4/16 threads, under forced steal-heavy scheduling, and when the
 // requests are submitted by concurrent clients sharing the worker pool.
 // Work stealing and cross-job interleaving may only move wall-clock time
@@ -68,7 +69,7 @@ void expect_bitwise_equal(const Positions& got, const Positions& want,
 
 Positions serve_one(const RequestSpec& spec) {
   LegalizationSession session(make_design(spec));
-  const SessionResult result = session.full_legalize(SolveMode::kMatch);
+  const SessionResult result = session.full_legalize(SolveMode::kFull);
   EXPECT_TRUE(result.legal) << result.legality_summary;
   return snapshot(session.design());
 }
@@ -77,16 +78,14 @@ class SchedulerDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // The one-shot reference for every request, computed serially once per
-    // process: the session's match-mode answer is contracted bitwise to
-    // legal::legalize.
+    // process: the session's full-solve answer is contracted bitwise to
+    // the one-shot legal::legalize with default options.
     static const std::vector<Positions> reference = [] {
       runtime::Runtime::configure(1);
       std::vector<Positions> snapshots;
       for (const RequestSpec& spec : request_mix()) {
         db::Design design = make_design(spec);
-        legal::FlowOptions options;
-        options.solver.partition = legal::PartitionMode::kMatch;
-        const legal::FlowResult result = legal::legalize(design, options);
+        const legal::FlowResult result = legal::legalize(design);
         EXPECT_TRUE(result.legal);
         snapshots.push_back(snapshot(design));
       }

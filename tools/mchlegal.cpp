@@ -1,39 +1,11 @@
 // mchlegal — command-line mixed-cell-height legalizer.
 //
 //   mchlegal <input> [options]
+//   mchlegal --help        prints the option list (kUsage below)
 //
 // Input formats (by extension):
 //   .aux         Bookshelf bundle (ISPD contest format)
 //   .mchdesign   this library's native design format
-//
-// Options:
-//   --algo <mmsim|tetris|local|local-imp|mixed-abacus>   (default mmsim)
-//   --double <fraction>   apply the paper's mixed-height transform first
-//   --dp                  run detailed placement after legalization
-//   --out <path>          write result (.pl for .aux inputs, .mchdesign
-//                         otherwise; default <input-stem>_legal.<ext>)
-//   --svg <path>          write an SVG layout plot
-//   --lambda <v>          subcell penalty λ            (default 1000)
-//   --beta <v> --theta <v>  MMSIM splitting parameters (default 0.5/0.5)
-//   --tolerance <v>       MMSIM stop tolerance         (default 1e-4)
-//   --partition <off|match|tiered>  constraint-graph decomposition mode
-//                         (default: MCH_PARTITION env, else match)
-//   --simd <auto|avx512|avx2|off>   SIMD kernel level (default: MCH_SIMD
-//                         env, else auto = highest the CPU supports; the
-//                         double kernels are bitwise identical at every
-//                         level, so this is a perf knob, not a result knob)
-//   --precision <double|mixed>      MMSIM iterate precision (default:
-//                         MCH_PRECISION env, else double; mixed engages
-//                         only under --partition tiered)
-//   --seed <n>            seed for --double            (default 1)
-//   --threads <n>         worker threads (0 = auto; also MCH_THREADS)
-//   --trace <path>        write a Chrome trace-event JSON of the run (open
-//                         in chrome://tracing or https://ui.perfetto.dev;
-//                         also MCH_TRACE=<path>)
-//   --metrics <path>      write the metrics-registry JSON snapshot
-//                         (counters/gauges/latency histograms; also
-//                         MCH_METRICS=<path>)
-//   --quiet               suppress the report
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,8 +25,38 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: mchlegal <input.aux|input.mchdesign> [options]\n"
+    "\n"
+    "options:\n"
+    "  --algo <mmsim|tetris|local|local-imp|mixed-abacus>   (default mmsim)\n"
+    "  --double <fraction>   apply the paper's mixed-height transform first\n"
+    "  --dp                  run detailed placement after legalization\n"
+    "  --out <path>          write result (.pl for .aux inputs, .mchdesign\n"
+    "                        otherwise; default <input-stem>_legal.<ext>)\n"
+    "  --svg <path>          write an SVG layout plot\n"
+    "  --lambda <v>          subcell penalty lambda       (default 1000)\n"
+    "  --beta <v> --theta <v>  MMSIM splitting parameters (default 0.5/0.5)\n"
+    "  --tolerance <v>       MMSIM stop tolerance         (default 1e-4)\n"
+    "  --partition <off|tiered>  solve path: tiered per-component solve\n"
+    "                        (default) or the monolithic oracle\n"
+    "  --simd <auto|avx512|avx2|off>   SIMD kernel level (default: MCH_SIMD\n"
+    "                        env, else auto = highest the CPU supports; the\n"
+    "                        kernels are bitwise identical at every level,\n"
+    "                        so this is a perf knob, not a result knob)\n"
+    "  --seed <n>            seed for --double            (default 1)\n"
+    "  --threads <n>         worker threads (0 = auto; also MCH_THREADS)\n"
+    "  --trace <path>        write a Chrome trace-event JSON of the run (open\n"
+    "                        in chrome://tracing or https://ui.perfetto.dev;\n"
+    "                        also MCH_TRACE=<path>)\n"
+    "  --metrics <path>      write the metrics-registry JSON snapshot\n"
+    "                        (counters/gauges/latency histograms; also\n"
+    "                        MCH_METRICS=<path>)\n"
+    "  --quiet               suppress the report\n"
+    "  -h, --help            print this list and exit\n";
+
 [[noreturn]] void usage_error(const char* message) {
-  std::fprintf(stderr, "error: %s\nrun with no arguments for usage\n",
+  std::fprintf(stderr, "error: %s\nrun mchlegal --help for usage\n",
                message);
   std::exit(2);
 }
@@ -69,11 +71,12 @@ bool ends_with(const std::string& value, const char* suffix) {
 
 int main(int argc, char** argv) {
   using namespace mch;
-  if (argc < 2) {
-    std::printf("usage: mchlegal <input.aux|input.mchdesign> [options]\n"
-                "see the header of tools/mchlegal.cpp for the option list\n");
+  if (argc < 2 || std::strcmp(argv[1], "--help") == 0 ||
+      std::strcmp(argv[1], "-h") == 0) {
+    std::fputs(kUsage, stdout);
     return 0;
   }
+  if (argv[1][0] == '-') usage_error("the input file must come first");
 
   runtime::configure_threads_from_cli(argc, argv);
   // The recovery/kernels report lines below go through the leveled logger at
@@ -120,12 +123,10 @@ int main(int argc, char** argv) {
       const std::string mode = value();
       if (mode == "off")
         flow_options.solver.partition = legal::PartitionMode::kOff;
-      else if (mode == "match")
-        flow_options.solver.partition = legal::PartitionMode::kMatch;
       else if (mode == "tiered")
         flow_options.solver.partition = legal::PartitionMode::kTiered;
       else
-        usage_error("unknown --partition mode (off|match|tiered)");
+        usage_error("unknown --partition mode (off|tiered)");
     } else if (arg == "--simd") {
       const std::string level = value();
       if (level == "off" || level == "scalar" || level == "0")
@@ -138,14 +139,9 @@ int main(int argc, char** argv) {
         linalg::set_simd_level(linalg::simd_level_supported());
       else
         usage_error("unknown --simd level (auto|avx512|avx2|off)");
-    } else if (arg == "--precision") {
-      const std::string prec = value();
-      if (prec == "double")
-        flow_options.solver.mmsim.precision = lcp::MmsimPrecision::kDouble;
-      else if (prec == "mixed")
-        flow_options.solver.mmsim.precision = lcp::MmsimPrecision::kMixed;
-      else
-        usage_error("unknown --precision (double|mixed)");
+    } else if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
     } else
       usage_error(("unknown option " + arg).c_str());
   }
@@ -229,23 +225,14 @@ int main(int argc, char** argv) {
       }
       if (result.solver_phase.total() > 0.0)
         std::printf("solver phases:       kernel %.2f ms, spmv %.2f ms, "
-                    "thomas %.2f ms, reduction %.2f ms, mixed %.2f ms "
-                    "(solve %.2f ms)\n",
+                    "thomas %.2f ms, reduction %.2f ms (solve %.2f ms)\n",
                     result.solver_phase.kernel_seconds * 1e3,
                     result.solver_phase.spmv_seconds * 1e3,
                     result.solver_phase.thomas_seconds * 1e3,
                     result.solver_phase.reduction_seconds * 1e3,
-                    result.solver_phase.mixed_seconds * 1e3,
                     result.solver_solve_seconds * 1e3);
       MCH_LOG(kInfo) << "kernels: simd "
-                     << linalg::simd_level_name(result.solver_simd)
-                     << ", precision "
-                     << (result.solver_precision ==
-                                 lcp::MmsimPrecision::kMixed
-                             ? "mixed"
-                             : "double")
-                     << " (" << result.solver_mixed_iterations
-                     << " mixed iterations)";
+                     << linalg::simd_level_name(result.solver_simd);
     }
     if (run_dp)
       std::printf("detailed placement:  HPWL %.0f -> %.0f (%.3f%%), "

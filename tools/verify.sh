@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Repo verification driver: tier-1 build + ctest, the env-variant ctest
-# jobs (.recovery/.session/.simd-off/.mixed/.trace), the observability
+# jobs (.recovery/.session/.simd-off/.trace), the observability
 # disabled-overhead smoke (BM_MmsimIterations/32768 vs the committed
 # snapshot), the multi-client scheduler bench (bitwise stability + parallel
 # efficiency of concurrent request submission), an AddressSanitizer job
 # over the solver/legalizer suites (the workspace arena hands slot
 # references to parallel workers — ASan is what would catch a stale one), a
-# UBSan job over the SIMD/mixed kernel suites, and a ThreadSanitizer job
+# UBSan job over the SIMD kernel suites, and a ThreadSanitizer job
 # over the work-stealing scheduler (concurrent submitters, stolen tickets,
 # the sleep/wake Dekker protocol — TSan is what would catch a misordered
 # wake or a job freed under a late steal).
@@ -51,7 +51,7 @@ echo "== session: resident-service suites =="
 # The .session ctest variant runs the eval/integration suites with
 # MCH_SESSION=1, serving every MMSIM legalization through a resident
 # service::LegalizationSession; the SessionTest suite covers the
-# incremental ECO path and the match-mode bitwise contract directly.
+# incremental ECO path and the full-solve bitwise contract directly.
 (cd build && ctest -j2 --output-on-failure \
   -R '\.session$|SessionTest')
 
@@ -63,14 +63,6 @@ echo "== simd-off: scalar-reference kernel suites =="
 # bitwise-identity assertions directly.
 (cd build && ctest -j2 --output-on-failure \
   -R '\.simd-off$|SimdDispatchTest|SimdCsrTest|SimdBlockDiagTest|MmsimSimdTest')
-
-echo "== mixed: float32-iterate solver suites =="
-# The .mixed ctest variant opts every MMSIM solve into the mixed-precision
-# iterate (MCH_PRECISION=mixed: float32 sweeps, float64 residual checks,
-# double polish); the MmsimMixedTest suite covers the displacement
-# tolerance, the kOff/kMatch demotion, and the recovery handoff directly.
-(cd build && ctest -j2 --output-on-failure \
-  -R '\.mixed$|MmsimMixedTest')
 
 echo "== trace: observability-enabled suites =="
 # The .trace ctest variant re-runs the eval/service/integration suites with
@@ -125,8 +117,8 @@ EOF
 
 echo "== sched: multi-client throughput + bitwise stability =="
 # A reduced run of the --multi bench mode: a queue of heterogeneous designs
-# served serially, then drained by concurrent clients sharing the worker
-# pool. The bench itself exits non-zero if any request's positions diverge
+# served as full solves on the default tiered path, serially, then drained
+# by concurrent clients sharing the worker pool. The bench itself exits non-zero if any request's positions diverge
 # bitwise from the single-client phase (or, sampled, from the one-shot
 # legal::legalize), or if parallel efficiency at the machine's core count
 # drops below 0.7. MCH_BENCH_JSON_DIR points at the scratch dir so the
@@ -180,27 +172,25 @@ if [[ "$FAST" == 0 ]]; then
     MCH_THREADS=4 "$bin" --gtest_brief=1
   done
 
-  echo "== ubsan: build SIMD/mixed kernel suites =="
+  echo "== ubsan: build SIMD kernel suites =="
   # The vector kernels are the one place the codebase hand-rolls pointer
   # arithmetic over SoA gather tables and reinterprets masks — UBSan over
-  # the kernel suites (at every dispatch level and in mixed precision) is
-  # what would catch a misaligned load or out-of-lane index.
+  # the kernel suites (at every dispatch level) is what would catch a
+  # misaligned load or out-of-lane index.
   cmake -B build-ubsan -S . -DMCH_ENABLE_UBSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   UBSAN_TARGETS=(
-    linalg_simd_test linalg_csr_test lcp_mmsim_simd_test
-    lcp_mmsim_mixed_test lcp_mmsim_fused_test
+    linalg_simd_test linalg_csr_test lcp_mmsim_simd_test lcp_mmsim_fused_test
   )
   for t in "${UBSAN_TARGETS[@]}"; do
     cmake --build build-ubsan -j4 --target "$t"
   done
 
-  echo "== ubsan: run (native SIMD, forced-scalar, mixed) =="
+  echo "== ubsan: run (native SIMD, forced-scalar) =="
   for t in "${UBSAN_TARGETS[@]}"; do
     bin="$(find build-ubsan/tests -name "$t" -type f | head -1)"
     "$bin" --gtest_brief=1
     MCH_SIMD=0 "$bin" --gtest_brief=1
-    MCH_PRECISION=mixed "$bin" --gtest_brief=1
   done
 fi
 
@@ -217,7 +207,7 @@ if [[ "$BIGMEM" == 1 ]]; then
   cmake --build build -j4 --target scaling_memory
   (
     ulimit -v $((1024 * 1024))  # 1 GiB of address space
-    build/bench/scaling_memory --point baseline 1000000 streamed
+    build/bench/scaling_memory --point baseline 1000000
   )
 fi
 
