@@ -71,7 +71,13 @@ struct MmsimOptions {
   /// convergence boundary): steps become tiny long before the fixed point.
   /// When enabled, a candidate stop is accepted only if the scaled LCP
   /// residual (feasibility + complementarity) is also below
-  /// residual_tolerance; otherwise the iteration continues.
+  /// residual_tolerance; otherwise the iteration continues. The residual
+  /// costs about a whole iteration, so it is not re-checked on every
+  /// candidate: it runs at the first iteration with a small delta, then
+  /// no sooner than 16 iterations after each failed check, and always on
+  /// the last iteration of the budget. A solve therefore stops at most 15
+  /// iterations after the first iteration at which both tests pass (when
+  /// they keep passing), and never reports converged without both.
   bool residual_check = true;
   double residual_tolerance = 1e-7;
   /// Record ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞ every `trace_stride` iterations into
@@ -114,6 +120,9 @@ struct MmsimResult {
   Vector s;
   MmsimPhaseTimes phase;      ///< per-phase timing (see MmsimPhaseTimes)
   std::size_t iterations = 0;
+  /// Scaled-residual evaluations the stopping rule ran (see
+  /// MmsimOptions::residual_check).
+  std::size_t residual_checks = 0;
   bool converged = false;
   double final_delta = 0.0;   ///< last ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞
   double setup_seconds = 0.0;
@@ -157,6 +166,7 @@ class MmsimSolver {
     Vector z_prev;
     Vector abs1, abs2, rhs1, rhs2, new_s1, new_s2;  ///< scratch
     Vector thomas_d;          ///< Thomas forward-sweep scratch
+    Vector w;                 ///< A z + q of the residual check
   };
 
   /// Fresh state at s⁽⁰⁾ = 0.
@@ -197,7 +207,8 @@ class MmsimSolver {
 
  private:
   /// True when the scaled LCP residual of z is below residual_tolerance.
-  bool scaled_residual_ok(const Vector& z) const;
+  /// `w` is scratch for A z + q (reused, so a check allocates nothing).
+  bool scaled_residual_ok(const Vector& z, Vector& w) const;
 
   /// The retained stage-by-stage iteration (opts_.fused == false).
   double step_reference(State& state) const;

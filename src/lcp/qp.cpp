@@ -27,21 +27,20 @@ void StructuredQp::lcp_apply(const Vector& z, Vector& y) const {
   const std::size_t n = num_variables();
   const std::size_t m = num_constraints();
   MCH_CHECK(z.size() == n + m);
+  MCH_CHECK(K.size() == n && B.rows() == m && B.cols() == n);
 
-  const Vector x(z.begin(), z.begin() + static_cast<std::ptrdiff_t>(n));
-  const Vector r(z.begin() + static_cast<std::ptrdiff_t>(n), z.end());
-
-  // Top block: K x − Bᵀ r + p.
-  Vector top;
-  K.multiply(x, top);
-  B.multiply_transpose_add(-1.0, r, top);
-  // Bottom block: B x − b.
-  Vector bottom;
-  B.multiply(x, bottom);
-
+  // Reads z's halves x = z[0, n) and r = z[n, n + m) in place and
+  // accumulates straight into y, so a reused y allocates nothing. Every
+  // element rounds as ((0 + (K x)_i) − (Bᵀ r)_i) + p_i, or (0 + (B x)_i) − b_i
+  // on the bottom block.
   y.assign(n + m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) y[i] = top[i] + p[i];
-  for (std::size_t i = 0; i < m; ++i) y[n + i] = bottom[i] - b[i];
+  // Top block: K x − Bᵀ r + p.
+  K.multiply_add(1.0, z.data(), y.data());
+  B.multiply_transpose_add(-1.0, z.data() + n, y.data());
+  for (std::size_t i = 0; i < n; ++i) y[i] += p[i];
+  // Bottom block: B x − b.
+  B.multiply_add(1.0, z.data(), y.data() + n);
+  for (std::size_t i = 0; i < m; ++i) y[n + i] -= b[i];
 }
 
 LcpResidual StructuredQp::lcp_residual(const Vector& z) const {

@@ -47,6 +47,7 @@ class MmsimLcpSolver final : public LcpSolver {
     result.x = std::move(mmsim.x);
     result.dual = std::move(mmsim.dual);
     result.iterations = mmsim.iterations;
+    result.residual_checks = mmsim.residual_checks;
     result.converged = mmsim.converged;
     result.setup_seconds = mmsim.setup_seconds;
     result.solve_seconds = mmsim.solve_seconds;

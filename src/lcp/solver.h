@@ -35,6 +35,8 @@ struct LcpSolveResult {
   Vector dual;  ///< multipliers of the spacing rows (empty for PSOR)
   /// MMSIM/PSOR iterations, or Lemke pivots.
   std::size_t iterations = 0;
+  /// MMSIM scaled-residual checks of the stopping rule (0 for PSOR/Lemke).
+  std::size_t residual_checks = 0;
   bool converged = false;
   /// True when the solve started from a matching warm-start payload in its
   /// workspace slot (MMSIM's s, PSOR's z). Always false for cold solves and

@@ -98,6 +98,7 @@ SolveOutcome solve_monolithic(const LegalizationModel& model,
   workspace.prepare(1);
   lcp::MmsimResult result = solver.solve_in(workspace.slot(0).state);
   span.arg("iterations", result.iterations)
+      .arg("checks", result.residual_checks)
       .arg("converged", result.converged);
   if (!result.converged) {
     MCH_LOG(kWarn) << "MMSIM did not converge in " << result.iterations
@@ -202,6 +203,7 @@ SolveOutcome solve_tiered(const LegalizationModel& model,
                                  component_config(mmsim_options, component))
                 ->solve(&workspace.slot(c), /*warm_start=*/true);
         span.arg("iterations", results[c].iterations)
+            .arg("checks", results[c].residual_checks)
             .arg("warm", results[c].warm_started);
         // Scatter and drop the local solution before the next extraction.
         // Variable sets are disjoint across components, so the shared
@@ -329,6 +331,7 @@ ComponentSolveReport solve_components(const db::Design& design,
             kinds[c], component.qp, component_config(options.mmsim, component),
             recovery, jobs[c].slot, /*warm_start=*/true);
         span.arg("iterations", recovered[c].result.iterations)
+            .arg("checks", recovered[c].result.residual_checks)
             .arg("rung", lcp::to_string(recovered[c].rung));
         if (recovered[c].rung != lcp::RecoveryRung::kExhausted) {
           // Variable sets are disjoint across jobs (caller's contract),

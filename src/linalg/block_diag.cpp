@@ -114,6 +114,11 @@ void BlockDiagMatrix::multiply(const Vector& x, Vector& y) const {
 void BlockDiagMatrix::multiply_add(double alpha, const Vector& x,
                                    Vector& y) const {
   MCH_CHECK(x.size() == size_ && y.size() == size_);
+  multiply_add(alpha, x.data(), y.data());
+}
+
+void BlockDiagMatrix::multiply_add(double alpha, const double* x,
+                                   double* y) const {
   // One flat sweep covers every scalar block (zeros elsewhere are benign);
   // a second sweep handles the multi-row blocks. Both are parallel: every
   // y element is owned by one index of one sweep (general blocks overwrite
@@ -123,8 +128,8 @@ void BlockDiagMatrix::multiply_add(double alpha, const Vector& x,
   parallel_for(std::size_t{0}, size_, kGrainElementwise,
                [&](std::size_t lo, std::size_t hi) {
                  if (sk != nullptr) {
-                   sk->ew_scale_add(alpha, scalar_values_.data(), x.data(),
-                                    y.data(), lo, hi);
+                   sk->ew_scale_add(alpha, scalar_values_.data(), x, y, lo,
+                                    hi);
                    return;
                  }
                  for (std::size_t i = lo; i < hi; ++i)

@@ -89,6 +89,9 @@ class BlockDiagMatrix {
 
   /// y += alpha * K x.
   void multiply_add(double alpha, const Vector& x, Vector& y) const;
+  /// The same product on raw arrays of size() entries each, so a caller
+  /// can multiply a slice of a larger vector in place.
+  void multiply_add(double alpha, const double* x, double* y) const;
 
   /// Solves K y = x exactly via the stored block inverses.
   void solve(const Vector& x, Vector& y) const;

@@ -166,6 +166,10 @@ void CsrMatrix::multiply(const Vector& x, Vector& y) const {
 
 void CsrMatrix::multiply_add(double alpha, const Vector& x, Vector& y) const {
   MCH_CHECK(x.size() == cols_ && y.size() == rows_);
+  multiply_add(alpha, x.data(), y.data());
+}
+
+void CsrMatrix::multiply_add(double alpha, const double* x, double* y) const {
   // Row-parallel: each output row is owned by exactly one iteration. The
   // SIMD path runs rows 4/8 at a time through the gather table; bitwise
   // identical to the scalar loop (see simd_kernels.h).
@@ -174,7 +178,7 @@ void CsrMatrix::multiply_add(double alpha, const Vector& x, Vector& y) const {
       const kernels::CsrGather2Ctx ctx = gather2_ctx(*g);
       parallel_for(std::size_t{0}, rows_, kGrainRows,
                    [&](std::size_t lo, std::size_t hi) {
-                     sk->add(ctx, alpha, x.data(), y.data(), lo, hi);
+                     sk->add(ctx, alpha, x, y, lo, hi);
                    });
       return;
     }
@@ -286,6 +290,11 @@ void CsrMatrix::multiply_transpose(const Vector& x, Vector& y) const {
 void CsrMatrix::multiply_transpose_add(double alpha, const Vector& x,
                                        Vector& y) const {
   MCH_CHECK(x.size() == rows_ && y.size() == cols_);
+  multiply_transpose_add(alpha, x.data(), y.data());
+}
+
+void CsrMatrix::multiply_transpose_add(double alpha, const double* x,
+                                       double* y) const {
   // Gather through the cached Aᵀ view rather than scattering into y: row c
   // of Aᵀ lists exactly the entries of column c of A, so each output
   // element is owned by one iteration and rows parallelize safely. The
@@ -297,7 +306,7 @@ void CsrMatrix::multiply_transpose_add(double alpha, const Vector& x,
       const kernels::CsrGather2Ctx ctx = gather2_ctx(*g);
       parallel_for(std::size_t{0}, cols_, kGrainRows,
                    [&](std::size_t lo, std::size_t hi) {
-                     sk->add(ctx, alpha, x.data(), y.data(), lo, hi);
+                     sk->add(ctx, alpha, x, y, lo, hi);
                    });
       return;
     }

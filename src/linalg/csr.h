@@ -92,6 +92,9 @@ class CsrMatrix {
 
   /// y += alpha * A x.
   void multiply_add(double alpha, const Vector& x, Vector& y) const;
+  /// The same product on raw arrays (x: cols() entries, y: rows()), so a
+  /// caller can multiply a slice of a larger vector in place.
+  void multiply_add(double alpha, const double* x, double* y) const;
 
   /// y += a1 * A x1 + a2 * A x2 in one traversal of A. Bitwise identical
   /// to multiply_add(a1, x1, y) followed by multiply_add(a2, x2, y).
@@ -103,6 +106,8 @@ class CsrMatrix {
 
   /// y += alpha * Aᵀ x.
   void multiply_transpose_add(double alpha, const Vector& x, Vector& y) const;
+  /// The same product on raw arrays (x: rows() entries, y: cols()).
+  void multiply_transpose_add(double alpha, const double* x, double* y) const;
 
   /// y += a1 * Aᵀ x1 + a2 * Aᵀ x2 in one traversal of the cached Aᵀ.
   /// Bitwise identical to the two multiply_transpose_add calls in sequence.

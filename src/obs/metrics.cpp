@@ -124,6 +124,16 @@ void Histogram::observe(double value) {
     bucket = std::bit_width(t);
     if (bucket >= kNumBuckets) bucket = kNumBuckets - 1;
   }
+  // Extremes first, so a reader that sees the count rarely sees them
+  // unset; percentile() tolerates the race either way.
+  double lo = min_.load(std::memory_order_relaxed);
+  while (value < lo &&
+         !min_.compare_exchange_weak(lo, value, std::memory_order_relaxed)) {
+  }
+  double hi = max_.load(std::memory_order_relaxed);
+  while (value > hi &&
+         !max_.compare_exchange_weak(hi, value, std::memory_order_relaxed)) {
+  }
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   // fetch_add on atomic<double> requires C++20 + hardware support; a CAS
@@ -136,6 +146,14 @@ void Histogram::observe(double value) {
 }
 
 double Histogram::percentile(double q) const {
+  const double lo = min();
+  const double hi = max();
+  const double estimate = bucket_percentile(q);
+  // lo > hi only while the first observe() is still publishing its extremes.
+  return lo <= hi ? std::clamp(estimate, lo, hi) : estimate;
+}
+
+double Histogram::bucket_percentile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -161,6 +179,8 @@ void Histogram::reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(kEmptyMin, std::memory_order_relaxed);
+  max_.store(kEmptyMax, std::memory_order_relaxed);
 }
 
 Counter& counter(std::string_view name) {

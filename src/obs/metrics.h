@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,8 +79,14 @@ class Histogram {
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
   }
 
+  /// Smallest / largest observed value; +inf / −inf when empty.
+  double min() const { return min_.load(std::memory_order_relaxed); }
+  double max() const { return max_.load(std::memory_order_relaxed); }
+
   /// Approximate quantile in the original value units (q in [0,1]);
-  /// 0 when empty. Linear interpolation inside the selected bucket.
+  /// 0 when empty. Linear interpolation inside the selected bucket,
+  /// clamped to [min(), max()] so a quantile never leaves the observed
+  /// range (a factor-2 bucket is far wider than a tight sample).
   double percentile(double q) const;
 
   std::uint64_t bucket_count(int bucket) const {
@@ -89,9 +96,17 @@ class Histogram {
   void reset();
 
  private:
+  static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
+  static constexpr double kEmptyMax = -kEmptyMin;
+
+  /// The bucket-interpolated quantile, before the [min, max] clamp.
+  double bucket_percentile(double q) const;
+
   std::atomic<std::uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{kEmptyMin};
+  std::atomic<double> max_{kEmptyMax};
 };
 
 /// Look up (creating on first use) the instrument named `name`. The

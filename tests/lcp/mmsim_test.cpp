@@ -1,15 +1,19 @@
 // MMSIM solver tests: cross-validation against Lemke (exact) on small
-// structured QPs from the real model builder, parameter invariances, and
-// the Sherman–Morrison closed form of the paper.
+// structured QPs from the real model builder, parameter invariances, the
+// Sherman–Morrison closed form of the paper, and the strided stopping rule.
 #include "lcp/mmsim.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "gen/generator.h"
 #include "lcp/lemke.h"
 #include "legal/model.h"
+#include "legal/partition.h"
 #include "legal/row_assign.h"
 #include "util/check.h"
 
@@ -261,6 +265,227 @@ TEST_P(MmsimRandomSweep, BeatsNaiveFeasiblePoints) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Instances, MmsimRandomSweep, ::testing::Range(0, 8));
+
+// ------------------------------------------------------ the stopping rule
+//
+// run_loop checks the scaled residual at the first iteration whose delta is
+// below tolerance, then no sooner than 16 iterations after each failed
+// check, and always on the budget's last iteration. These tests drive
+// step() by hand with a residual check on every iteration — the reference
+// trajectory — and hold solve() to it.
+
+constexpr std::size_t kStride = 16;
+
+/// The solver's scaled-residual verdict, recomputed from the public LCP
+/// residual: feasibility and complementarity of z relative to 1 + ‖z‖∞ and
+/// 1 + ‖w‖∞, with w = A z + q.
+bool residual_passes(const StructuredQp& qp, const Vector& z, double tol) {
+  Vector w;
+  qp.lcp_apply(z, w);
+  const LcpResidual res = qp.lcp_residual(z);
+  const double scale_z = 1.0 + linalg::norm_inf(z);
+  const double scale_w = 1.0 + linalg::norm_inf(w);
+  return res.z_negativity <= tol * scale_z &&
+         res.w_negativity <= tol * scale_w &&
+         res.complementarity <= tol * scale_z * scale_w;
+}
+
+/// Which stopping test passes after each iteration of a hand-driven solve
+/// (entry i is iteration i + 1). The delta test never counts on the first
+/// iteration, as in run_loop.
+struct Trajectory {
+  std::vector<bool> delta_ok;
+  std::vector<bool> residual_ok;
+
+  /// Iteration number of the first entry where `pred(i)` holds.
+  template <typename Pred>
+  std::optional<std::size_t> first(Pred pred) const {
+    for (std::size_t i = 0; i < delta_ok.size(); ++i)
+      if (pred(i)) return i + 1;
+    return std::nullopt;
+  }
+  /// First iteration where the delta test passes.
+  std::optional<std::size_t> first_small_delta() const {
+    return first([&](std::size_t i) { return bool(delta_ok[i]); });
+  }
+  /// k*: the first iteration where both tests pass — where checking on
+  /// every iteration would stop.
+  std::optional<std::size_t> first_stop() const {
+    return first([&](std::size_t i) { return delta_ok[i] && residual_ok[i]; });
+  }
+};
+
+Trajectory drive_by_hand(const StructuredQp& qp, const MmsimSolver& solver,
+                         const MmsimOptions& options, std::size_t iterations) {
+  Trajectory t;
+  MmsimSolver::State state = solver.make_state();
+  for (std::size_t k = 0; k < iterations; ++k) {
+    const double delta = solver.step(state);
+    t.delta_ok.push_back(k > 0 && delta < options.tolerance);
+    t.residual_ok.push_back(
+        residual_passes(qp, state.z, options.residual_tolerance));
+  }
+  return t;
+}
+
+/// One QP for the stopping-rule tests, with the Schur coupling breaks of an
+/// extracted component (empty for a whole problem).
+struct StopInstance {
+  std::string name;
+  StructuredQp qp;
+  std::vector<bool> breaks;
+};
+
+/// A single row of 40 unit-weight cells of width 4 whose GP targets sit
+/// 3.5 sites apart on average: the whole row is one compressed chain, so
+/// the iteration contracts slowly and the delta test passes hundreds of
+/// iterations before the residual does.
+StopInstance chain_instance() {
+  constexpr std::size_t kCells = 40;
+  constexpr double kPitch = 3.5;
+  StopInstance inst{"chain", {}, {}};
+  for (std::size_t i = 0; i < kCells; ++i)
+    inst.qp.K.add_scalar_block(1.0);
+  inst.qp.p.resize(kCells);
+  for (std::size_t i = 0; i < kCells; ++i)
+    inst.qp.p[i] = -(kPitch * static_cast<double>(i) +
+                     1.5 * static_cast<double>(i % 7));
+  linalg::CooMatrix coo(kCells - 1, kCells);
+  for (std::size_t r = 0; r + 1 < kCells; ++r) {
+    coo.add(r, r, -1.0);
+    coo.add(r, r + 1, 1.0);
+  }
+  inst.qp.B = linalg::CsrMatrix::from_coo(coo);
+  inst.qp.b.assign(kCells - 1, 4.0);
+  return inst;
+}
+
+/// The largest connected component of the 50k-cell service design (45k
+/// single- and 5k double-height cells at density 0.7), extracted exactly as
+/// the tiered legalizer extracts it.
+StopInstance component_50k_instance() {
+  gen::GeneratorOptions opts;
+  opts.seed = 601;
+  opts.nets_per_cell = 0.0;
+  db::Design design = gen::generate_random_design(45000, 5000, 0.7, opts);
+  const legal::RowAssignment rows = legal::assign_rows(design);
+  legal::ConstraintPartition partition;
+  const legal::LegalizationModel model =
+      legal::build_model(design, rows, {}, &partition);
+  std::size_t largest = 0;
+  for (std::size_t c = 1; c < partition.num_components(); ++c)
+    if (partition.component_size(c) > partition.component_size(largest))
+      largest = c;
+  legal::ComponentProblem component =
+      model.component_problem(partition.component_variables[largest],
+                              partition.component_constraints[largest]);
+  return {"component50k", std::move(component.qp),
+          std::move(component.schur_coupling_breaks)};
+}
+
+const StopInstance& stop_instance(const std::string& name) {
+  static const StopInstance chain = chain_instance();
+  if (name == "chain") return chain;
+  static const StopInstance component = component_50k_instance();
+  return component;
+}
+
+/// The production stopping rule on the instance, at the legalizer's
+/// default tolerances.
+class StoppingRuleTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  const StopInstance& instance() const { return stop_instance(GetParam()); }
+  MmsimSolver solver(const MmsimOptions& options) const {
+    return MmsimSolver(instance().qp, options,
+                       instance().breaks.empty() ? nullptr
+                                                 : &instance().breaks);
+  }
+  /// The default solve, plus the hand-driven trajectory over as many
+  /// iterations as it ran.
+  void solve_and_trace(const MmsimOptions& options, MmsimResult& result,
+                       Trajectory& trajectory) const {
+    const MmsimSolver s = solver(options);
+    result = s.solve();
+    trajectory = drive_by_hand(instance().qp, s, options, result.iterations);
+  }
+};
+
+TEST_P(StoppingRuleTest, ConvergedSolveMeetsResidualTolerance) {
+  const MmsimOptions options;
+  const MmsimResult result = solver(options).solve();
+  ASSERT_TRUE(result.converged);
+  EXPECT_TRUE(residual_passes(instance().qp, result.z,
+                              options.residual_tolerance));
+  EXPECT_LT(result.final_delta, options.tolerance);
+}
+
+TEST_P(StoppingRuleTest, StopsWithinOneStrideOfFirstPassingIteration) {
+  const MmsimOptions options;
+  MmsimResult result;
+  Trajectory t;
+  solve_and_trace(options, result, t);
+  ASSERT_TRUE(result.converged);
+  const std::optional<std::size_t> k_star = t.first_stop();
+
+  ASSERT_TRUE(k_star.has_value());
+  // The instance must exercise the stride: the delta test passes before
+  // the residual does, so checking every iteration would pay many checks.
+  ASSERT_LT(t.first_small_delta().value() + kStride, *k_star) << GetParam();
+  EXPECT_GE(result.iterations, *k_star);
+  EXPECT_LE(result.iterations, *k_star + kStride - 1);
+  EXPECT_TRUE(t.delta_ok[result.iterations - 1]);
+  EXPECT_TRUE(t.residual_ok[result.iterations - 1]);
+}
+
+TEST_P(StoppingRuleTest, ChecksAtMostOncePerStride) {
+  const MmsimOptions options;
+  MmsimResult result;
+  Trajectory t;
+  solve_and_trace(options, result, t);
+  ASSERT_TRUE(result.converged);
+  const std::size_t first = t.first_small_delta().value();
+  const std::size_t span = result.iterations - first;
+  EXPECT_GE(result.residual_checks, 1u);
+  EXPECT_LE(result.residual_checks, (span + kStride - 1) / kStride + 1);
+}
+
+TEST_P(StoppingRuleTest, BudgetEndingBetweenCheckPointsStillConverges) {
+  const MmsimOptions options;
+  MmsimResult unbounded;
+  Trajectory t;
+  solve_and_trace(options, unbounded, t);
+  ASSERT_TRUE(unbounded.converged);
+  const std::size_t k_star = t.first_stop().value();
+  // k* itself must not be a check point of the unbounded solve, or the
+  // budget edge would be met by the regular cadence.
+  ASSERT_GT(unbounded.iterations, k_star) << GetParam();
+  std::size_t budgets = 0;
+  for (std::size_t budget = k_star; budget < unbounded.iterations; ++budget) {
+    if (!t.delta_ok[budget - 1] || !t.residual_ok[budget - 1]) continue;
+    MmsimOptions capped = options;
+    capped.max_iterations = budget;
+    const MmsimResult result = solver(capped).solve();
+    EXPECT_TRUE(result.converged) << "budget " << budget;
+    EXPECT_EQ(result.iterations, budget);
+    ++budgets;
+  }
+  EXPECT_GE(budgets, 1u);
+}
+
+TEST_P(StoppingRuleTest, WithoutResidualCheckStopsAtFirstSmallDelta) {
+  MmsimOptions options;
+  options.residual_check = false;
+  MmsimResult result;
+  Trajectory t;
+  solve_and_trace(options, result, t);
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.iterations, t.first_small_delta().value());
+  EXPECT_EQ(result.residual_checks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, StoppingRuleTest,
+                         ::testing::Values("chain", "component50k"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace mch::lcp

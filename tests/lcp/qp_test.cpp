@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "gen/generator.h"
 #include "lcp/lemke.h"
+#include "legal/model.h"
+#include "legal/row_assign.h"
 #include "linalg/sparse.h"
 
 namespace mch::lcp {
@@ -70,6 +76,48 @@ TEST(StructuredQpTest, LcpApplyMatchesDenseAssembly) {
   ASSERT_EQ(via_struct.size(), via_dense.size());
   for (std::size_t i = 0; i < z.size(); ++i)
     EXPECT_NEAR(via_struct[i], via_dense[i], 1e-12);
+}
+
+// lcp_apply works on z's halves in place; it must round exactly like the
+// staged products on copies of x and r, and reuse a caller's buffer.
+TEST(StructuredQpTest, LcpApplyIsBitwiseTheStagedProductsInPlace) {
+  gen::GeneratorOptions opts;
+  opts.seed = 29;
+  opts.nets_per_cell = 0.0;
+  db::Design design = gen::generate_random_design(60, 12, 0.75, opts);
+  const legal::LegalizationModel model =
+      legal::build_model(design, legal::assign_rows(design));
+  const StructuredQp& qp = model.qp;
+  const std::size_t n = qp.num_variables();
+  const std::size_t m = qp.num_constraints();
+  ASSERT_GT(m, 0u);
+  Vector z(n + m);
+  for (std::size_t i = 0; i < z.size(); ++i)
+    z[i] = 0.37 * static_cast<double>(i % 23) - 2.0;
+
+  const Vector x(z.begin(), z.begin() + static_cast<std::ptrdiff_t>(n));
+  const Vector r(z.begin() + static_cast<std::ptrdiff_t>(n), z.end());
+  Vector top;
+  qp.K.multiply(x, top);
+  qp.B.multiply_transpose_add(-1.0, r, top);
+  Vector bottom;
+  qp.B.multiply(x, bottom);
+
+  Vector w;
+  qp.lcp_apply(z, w);
+  ASSERT_EQ(w.size(), n + m);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(w[i]),
+              std::bit_cast<std::uint64_t>(top[i] + qp.p[i]))
+        << "row " << i;
+  for (std::size_t i = 0; i < m; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(w[n + i]),
+              std::bit_cast<std::uint64_t>(bottom[i] - qp.b[i]))
+        << "row " << n + i;
+
+  const double* buffer = w.data();
+  qp.lcp_apply(z, w);
+  EXPECT_EQ(w.data(), buffer);
 }
 
 TEST(StructuredQpTest, DenseLcpHasSaddleStructure) {

@@ -75,6 +75,7 @@ TEST(LcpSolverTest, MmsimAdapterMatchesDirectSolver) {
   const MmsimResult direct = MmsimSolver(qp, config.mmsim).solve();
   EXPECT_TRUE(adapted.converged);
   EXPECT_EQ(adapted.iterations, direct.iterations);
+  EXPECT_EQ(adapted.residual_checks, direct.residual_checks);
   ASSERT_EQ(adapted.x.size(), direct.x.size());
   for (std::size_t i = 0; i < adapted.x.size(); ++i)
     EXPECT_EQ(adapted.x[i], direct.x[i]) << "x[" << i << "]";

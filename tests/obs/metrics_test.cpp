@@ -112,6 +112,44 @@ TEST_F(MetricsTest, HistogramEdgeCases) {
   EXPECT_EQ(h.count(), 3u);
 }
 
+// A factor-2 bucket is far wider than a tight sample; interpolating in it
+// once reported p50 = 0.81 for a queue depth that was 1 on every sample.
+TEST_F(MetricsTest, ConstantSampleQuantilesEqualTheSample) {
+  Histogram& h = histogram("test.hist.constant");
+  for (int i = 0; i < 100; ++i) h.observe(1.0);
+  EXPECT_EQ(h.min(), 1.0);
+  EXPECT_EQ(h.max(), 1.0);
+  for (const double q : {0.0, 0.50, 0.95, 0.99, 1.0})
+    EXPECT_EQ(h.percentile(q), 1.0) << "q=" << q;
+}
+
+TEST_F(MetricsTest, QuantilesStayWithinObservedRange) {
+  Histogram& h = histogram("test.hist.range");
+  std::vector<double> values;
+  for (int i = 0; i < 50; ++i) values.push_back(3.0 + 0.01 * i);  // one bucket
+  for (int i = 0; i < 5; ++i) values.push_back(6.3 + 0.1 * i);    // the next
+  for (const double v : values) h.observe(v);
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  EXPECT_EQ(h.min(), *lo);
+  EXPECT_EQ(h.max(), *hi);
+  for (const double q : {0.0, 0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 1.0}) {
+    const double got = h.percentile(q);
+    EXPECT_GE(got, *lo) << "q=" << q;
+    EXPECT_LE(got, *hi) << "q=" << q;
+  }
+}
+
+TEST_F(MetricsTest, ResetClearsObservedRange) {
+  Histogram& h = histogram("test.hist.range_reset");
+  h.observe(5.0);
+  h.reset();
+  EXPECT_EQ(h.percentile(0.5), 0.0);
+  h.observe(0.25);
+  EXPECT_EQ(h.min(), 0.25);
+  EXPECT_EQ(h.max(), 0.25);
+  EXPECT_EQ(h.percentile(0.99), 0.25);
+}
+
 TEST_F(MetricsTest, JsonCarriesSchemaAttributesAndInstruments) {
   counter("test.json.counter").add(5);
   gauge("test.json.gauge").set(2.5);

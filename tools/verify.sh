@@ -120,13 +120,24 @@ echo "== sched: multi-client throughput + bitwise stability =="
 # served as full solves on the default tiered path, serially, then drained
 # by concurrent clients sharing the worker pool. The bench itself exits non-zero if any request's positions diverge
 # bitwise from the single-client phase (or, sampled, from the one-shot
-# legal::legalize), or if parallel efficiency at the machine's core count
-# drops below 0.7. MCH_BENCH_JSON_DIR points at the scratch dir so the
-# committed results/service_throughput_multi.json snapshot (written by a
-# full 120-design run) is never overwritten.
+# legal::legalize), or if parallel efficiency (speedup per client) drops
+# below 0.7. On a host with fewer than 2 hardware threads or fewer
+# threads than clients the efficiency bar cannot be judged: the bench exits
+# 77 after its bitwise checks and this step reports SKIPPED, not OK.
+# MCH_BENCH_JSON_DIR points at the scratch dir so the committed
+# results/service_throughput_multi.json snapshot (written by a full
+# 120-design run) is never overwritten.
 cmake --build build -j4 --target service_throughput
+SKIPPED=""
+multi_status=0
 MCH_THREADS=4 MCH_BENCH_JSON_DIR="$OVH_DIR" \
-  build/bench/service_throughput --multi 24 3
+  build/bench/service_throughput --multi 24 3 || multi_status=$?
+if [[ "$multi_status" == 77 ]]; then
+  echo "sched: efficiency gate SKIPPED (see the SKIP line above)"
+  SKIPPED="multi-client efficiency gate"
+elif [[ "$multi_status" != 0 ]]; then
+  exit "$multi_status"
+fi
 
 if [[ "$FAST" == 0 ]]; then
   echo "== tsan: build scheduler/service suites =="
@@ -211,4 +222,8 @@ if [[ "$BIGMEM" == 1 ]]; then
   )
 fi
 
-echo "verify: OK"
+if [[ -n "$SKIPPED" ]]; then
+  echo "verify: OK, with skipped gates: $SKIPPED"
+else
+  echo "verify: OK"
+fi
