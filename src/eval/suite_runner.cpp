@@ -85,6 +85,8 @@ RunResult run_legalizer(db::Design& design, Legalizer which,
         result.solver_mean_component = served.solver.mean_component_size;
         result.solver_component_iterations =
             served.solver.component_iterations;
+        result.solver_components_polished =
+            served.solver.components_polished;
         result.solver_simd = served.solver.simd_level;
         result.solver_recovery = served.solver.recovery;
         result.session_dirty_components = served.session.components_dirty;
@@ -105,6 +107,7 @@ RunResult run_legalizer(db::Design& design, Legalizer which,
       result.solver_max_component = flow.solver.max_component_size;
       result.solver_mean_component = flow.solver.mean_component_size;
       result.solver_component_iterations = flow.solver.component_iterations;
+      result.solver_components_polished = flow.solver.components_polished;
       result.solver_simd = flow.solver.simd_level;
       result.solver_recovery = flow.solver.recovery;
       break;

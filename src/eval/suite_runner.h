@@ -71,6 +71,9 @@ struct RunResult {
   std::size_t solver_max_component = 0;        ///< largest component n + m
   double solver_mean_component = 0.0;          ///< mean component n + m
   std::size_t solver_component_iterations = 0; ///< summed over components
+  /// MMSIM systems that stopped on an active-set polish
+  /// (legal::MmsimLegalizerStats::components_polished).
+  std::size_t solver_components_polished = 0;
 
   /// The active SIMD dispatch level.
   linalg::SimdLevel solver_simd = linalg::SimdLevel::kScalar;

@@ -40,6 +40,37 @@ constexpr std::size_t kPhaseProfileMinSize = 256;
 /// passing iteration at 15.
 constexpr std::size_t kResidualCheckStride = 16;
 
+/// Unchanged sign-pattern samples (one per kResidualCheckStride
+/// iterations) before the first active-set polish attempt; each rejected
+/// attempt doubles the wait. On the 50k-cell design the pattern of the
+/// largest component is final at iteration 112 of 9,685.
+constexpr std::size_t kPolishStableSamples = 2;
+
+/// Largest active-row cluster the polish factors densely (2 MB of scratch).
+/// Clusters are runs of abutting cells joined through tall cells; the
+/// largest seen on a 50k-cell design has 8 rows. A larger one rejects the
+/// attempt, and the iteration continues as if it had not been made.
+constexpr std::size_t kMaxClusterRows = 512;
+
+constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
+
+/// Scratch of MmsimSolver::solve_active_set. It runs serially and never
+/// enters the parallel runtime, so no other solve can interleave with it
+/// on the same thread: one instance per thread serves every solver.
+struct ActiveSetScratch {
+  Vector kinv;    ///< row i of K_F⁻¹ over variable i's K block
+  Vector kinv_p;  ///< K_F⁻¹ p_F, then B_Jᵀ y − p_F
+  Vector dense;   ///< one cluster's S_J, then its Cholesky factor
+  std::vector<std::uint32_t> block_first;  ///< first variable of i's block
+  std::vector<std::uint32_t> cluster;      ///< tight rows, by cluster
+  std::vector<std::uint32_t> local;        ///< row → index in its cluster
+};
+
+ActiveSetScratch& active_set_scratch() {
+  thread_local ActiveSetScratch scratch;
+  return scratch;
+}
+
 /// Adds the scope's wall time to `bucket` when enabled; costs nothing (not
 /// even a clock read) when disabled.
 class PhaseTimer {
@@ -248,6 +279,224 @@ bool MmsimSolver::scaled_residual_ok(const Vector& z, Vector& w) const {
          complementarity <= tolerance * scale_z * scale_w;
 }
 
+bool MmsimSolver::solve_active_set(const std::vector<unsigned char>& signs,
+                                   Vector& z) const {
+  const std::size_t n = qp_.num_variables();
+  const std::size_t m = qp_.num_constraints();
+  const unsigned char* free_var = signs.data();       // x_i > 0
+  const unsigned char* tight_row = signs.data() + n;  // y_r > 0
+  ActiveSetScratch& scratch = active_set_scratch();
+  const std::vector<std::size_t>& b_rp = qp_.B.row_ptr();
+  const std::vector<index_t>& b_ci = qp_.B.col_idx();
+  const Vector& b_v = qp_.B.values();
+  const std::vector<std::size_t>& bt_rp = bt_->row_ptr();
+  const std::vector<index_t>& bt_ci = bt_->col_idx();
+  const Vector& bt_v = bt_->values();
+
+  // K_F⁻¹, one row per variable over the columns of its K block (width W,
+  // the widest block). A free variable's row has zeros at the block's
+  // fixed columns; a fixed variable's row is never read.
+  const std::size_t width = std::max<std::size_t>(1, max_general_rows_);
+  scratch.kinv.resize(n * width);
+  scratch.block_first.resize(n);
+  scratch.dense.resize(std::max(scratch.dense.size(), width * width));
+  double* kinv = scratch.kinv.data();
+  std::uint32_t* first = scratch.block_first.data();
+  const std::vector<double>& scalar_inv = qp_.K.scalar_inverses();
+  for (std::size_t blk = 0; blk < qp_.K.block_count(); ++blk) {
+    const std::size_t off = qp_.K.block_offset(blk);
+    if (qp_.K.is_scalar_block(blk)) {
+      first[off] = static_cast<std::uint32_t>(off);
+      kinv[off * width] = scalar_inv[off];
+      continue;
+    }
+    // Gauss–Jordan inverse of K_FF, in place, on the block with each fixed
+    // variable's row and column replaced by the identity's: the free part
+    // of the inverse is K_FF⁻¹ and its fixed columns stay zero.
+    const std::size_t bn = qp_.K.block_size(blk);
+    const DenseMatrix& kb = qp_.K.block(blk);
+    double* inv = scratch.dense.data();
+    for (std::size_t a = 0; a < bn; ++a) {
+      first[off + a] = static_cast<std::uint32_t>(off);
+      for (std::size_t c = 0; c < bn; ++c)
+        inv[a * bn + c] = free_var[off + a] && free_var[off + c] ? kb(a, c)
+                          : a == c                      ? 1.0
+                                                        : 0.0;
+    }
+    for (std::size_t p = 0; p < bn; ++p) {
+      const double pivot = inv[p * bn + p];
+      if (!(pivot > 0.0)) return false;
+      const double inv_pivot = 1.0 / pivot;
+      inv[p * bn + p] = 1.0;
+      for (std::size_t c = 0; c < bn; ++c) inv[p * bn + c] *= inv_pivot;
+      for (std::size_t a = 0; a < bn; ++a) {
+        if (a == p) continue;
+        const double factor = inv[a * bn + p];
+        inv[a * bn + p] = 0.0;
+        for (std::size_t c = 0; c < bn; ++c)
+          inv[a * bn + c] -= factor * inv[p * bn + c];
+      }
+    }
+    for (std::size_t a = 0; a < bn; ++a)
+      std::copy(inv + a * bn, inv + (a + 1) * bn, kinv + (off + a) * width);
+  }
+  // Visits the free columns j of variable i's block with K_F⁻¹(i, j).
+  const auto for_block = [&](std::size_t i, auto&& fn) {
+    const std::size_t off = first[i];
+    const double* row = kinv + i * width;
+    for (std::size_t j = off; j < n && j < off + width && first[j] == off;
+         ++j)
+      if (free_var[j]) fn(j, row[j - off]);
+  };
+
+  // u = K_F⁻¹ p_F.
+  scratch.kinv_p.resize(n);
+  double* u = scratch.kinv_p.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    if (free_var[i])
+      for_block(i, [&](std::size_t j, double k) { sum += k * qp_.p[j]; });
+    u[i] = sum;
+  }
+
+  // Clusters of tight rows: rows sharing a free variable's K block are
+  // coupled in S_J, so a breadth-first sweep over that relation yields
+  // the independent diagonal blocks, numbered in row order.
+  std::fill(z.begin(), z.end(), 0.0);
+  scratch.local.assign(m, kUnvisited);
+  scratch.cluster.resize(m);
+  std::uint32_t* local = scratch.local.data();
+  std::uint32_t* cluster = scratch.cluster.data();
+  std::size_t end = 0;
+  for (std::size_t root = 0; root < m; ++root) {
+    if (!tight_row[root] || local[root] != kUnvisited) continue;
+    const std::size_t begin = end;
+    local[root] = 0;
+    cluster[end++] = static_cast<std::uint32_t>(root);
+    for (std::size_t q = begin; q < end; ++q) {
+      const std::size_t r = cluster[q];
+      for (std::size_t e = b_rp[r]; e < b_rp[r + 1]; ++e) {
+        const std::size_t i = b_ci[e];
+        if (!free_var[i]) continue;
+        for_block(i, [&](std::size_t j, double) {
+          for (std::size_t f = bt_rp[j]; f < bt_rp[j + 1]; ++f) {
+            const std::size_t r2 = bt_ci[f];
+            if (!tight_row[r2] || local[r2] != kUnvisited) continue;
+            local[r2] = static_cast<std::uint32_t>(end - begin);
+            cluster[end++] = static_cast<std::uint32_t>(r2);
+          }
+        });
+      }
+      if (end - begin > kMaxClusterRows) return false;
+    }
+
+    // S = B_J K_F⁻¹ B_Jᵀ and rhs = b_J + B_J u over the cluster, dense.
+    const std::size_t k = end - begin;
+    scratch.dense.resize(std::max(scratch.dense.size(), k * k + k));
+    double* s = scratch.dense.data();
+    double* rhs = s + k * k;
+    std::fill(s, s + k * k, 0.0);
+    for (std::size_t a = 0; a < k; ++a) {
+      const std::size_t r = cluster[begin + a];
+      double t = qp_.b[r];
+      for (std::size_t e = b_rp[r]; e < b_rp[r + 1]; ++e) {
+        const std::size_t i = b_ci[e];
+        if (!free_var[i]) continue;
+        t += b_v[e] * u[i];
+        for_block(i, [&](std::size_t j, double kij) {
+          const double coef = b_v[e] * kij;
+          for (std::size_t f = bt_rp[j]; f < bt_rp[j + 1]; ++f)
+            if (tight_row[bt_ci[f]])
+              s[a * k + local[bt_ci[f]]] += coef * bt_v[f];
+        });
+      }
+      rhs[a] = t;
+    }
+    // Cholesky S = L Lᵀ (L in the lower triangle), then L Lᵀ y = rhs.
+    for (std::size_t c = 0; c < k; ++c) {
+      double d = s[c * k + c];
+      for (std::size_t p = 0; p < c; ++p) d -= s[c * k + p] * s[c * k + p];
+      if (!(d > 0.0)) return false;
+      const double l = std::sqrt(d);
+      s[c * k + c] = l;
+      for (std::size_t a = c + 1; a < k; ++a) {
+        double v = s[a * k + c];
+        for (std::size_t p = 0; p < c; ++p) v -= s[a * k + p] * s[c * k + p];
+        s[a * k + c] = v / l;
+      }
+    }
+    for (std::size_t a = 0; a < k; ++a) {
+      double v = rhs[a];
+      for (std::size_t p = 0; p < a; ++p) v -= s[a * k + p] * rhs[p];
+      rhs[a] = v / s[a * k + a];
+    }
+    for (std::size_t a = k; a-- > 0;) {
+      double v = rhs[a];
+      for (std::size_t p = a + 1; p < k; ++p) v -= s[p * k + a] * rhs[p];
+      rhs[a] = v / s[a * k + a];
+    }
+    for (std::size_t a = 0; a < k; ++a) z[n + cluster[begin + a]] = rhs[a];
+  }
+
+  // x_F = K_F⁻¹ (B_Jᵀ y − p_F), with t = B_Jᵀ y − p_F over u's buffer.
+  double* t = u;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!free_var[i]) continue;
+    double sum = -qp_.p[i];
+    for (std::size_t f = bt_rp[i]; f < bt_rp[i + 1]; ++f)
+      if (tight_row[bt_ci[f]]) sum += bt_v[f] * z[n + bt_ci[f]];
+    t[i] = sum;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!free_var[i]) continue;
+    double sum = 0.0;
+    for_block(i, [&](std::size_t j, double k) { sum += k * t[j]; });
+    z[i] = sum;
+  }
+  return true;
+}
+
+bool MmsimSolver::try_polish(State& state, double* delta) const {
+  const std::size_t n = qp_.num_variables();
+  const std::size_t m = qp_.num_constraints();
+  state.signs.resize(n + m);
+  for (std::size_t i = 0; i < n + m; ++i) state.signs[i] = state.z[i] > 0.0;
+
+  // Park the iterate in the saved_* buffers (swapped, not copied); the
+  // candidate overwrites the live ones in full.
+  const std::size_t iterations = state.iterations;
+  state.s1.swap(state.saved_s1);
+  state.s2.swap(state.saved_s2);
+  state.z.swap(state.saved_z);
+  state.s1.resize(n);
+  state.s2.resize(m);
+  state.z.resize(n + m);
+  const auto reject = [&] {
+    state.s1.swap(state.saved_s1);
+    state.s2.swap(state.saved_s2);
+    state.z.swap(state.saved_z);
+    state.iterations = iterations;
+    return false;
+  };
+
+  if (!solve_active_set(state.signs, state.z) ||
+      !scaled_residual_ok(state.z, state.w))
+    return reject();
+  // The modulus fixed point of the candidate: z = (|s| + s)/γ and
+  // w = (|s| − s)/γ give s = γ(z − w)/2.
+  const double half_gamma = 0.5 * opts_.gamma;
+  for (std::size_t i = 0; i < n; ++i)
+    state.s1[i] = half_gamma * (state.z[i] - state.w[i]);
+  for (std::size_t r = 0; r < m; ++r)
+    state.s2[r] = half_gamma * (state.z[n + r] - state.w[n + r]);
+  const double step_delta = step(state);
+  if (!(step_delta < opts_.tolerance) ||
+      !scaled_residual_ok(state.z, state.w))
+    return reject();
+  if (delta != nullptr) *delta = step_delta;
+  return true;
+}
+
 MmsimSolver::State MmsimSolver::make_state() const {
   State state;
   reset_state(state);
@@ -273,10 +522,8 @@ void MmsimSolver::reset_state(State& state, const Vector* s0) const {
     state.s2.assign(m, 0.0);
   }
   state.z.assign(n + m, 0.0);
-  state.z_prev.assign(n + m, 0.0);
-  state.abs1.resize(n);
-  state.abs2.resize(m);
-  state.rhs1.resize(n);
+  // z_prev, abs1, abs2 and rhs1 belong to the reference path alone, which
+  // sizes them on use: fused states (the default) never carry them.
   state.rhs2.resize(m);
   state.new_s1.resize(n);
   state.new_s2.resize(m);
@@ -310,6 +557,8 @@ double MmsimSolver::step_reference(State& state) const {
   {
     PhaseTimer timer(profile_, state.phase.kernel_seconds);
     state.z_prev = state.z;
+    abs1.resize(n);
+    abs2.resize(m);
 
     // All element-wise stages of the modulus update run on the runtime; the
     // matrix products parallelize internally. Each stage owns its output
@@ -744,27 +993,64 @@ MmsimResult MmsimSolver::run_loop(State& state) const {
 
   // Earliest iteration allowed to run the next residual check.
   std::size_t next_check = 0;
+  // Polish detection: consecutive unchanged sign-pattern samples, and how
+  // many of them the next attempt waits for.
+  bool sampled = false;
+  std::size_t stable = 0;
+  std::size_t wait = kPolishStableSamples;
   for (std::size_t k = 0; k < opts_.max_iterations; ++k) {
     result.final_delta = step(state);
     if (opts_.trace_stride > 0 && k % opts_.trace_stride == 0)
       result.trace.emplace_back(state.iterations, result.final_delta);
-    if (k == 0 || result.final_delta >= opts_.tolerance) continue;
-    if (opts_.residual_check) {
+    if (k > 0 && result.final_delta < opts_.tolerance) {
+      if (!opts_.residual_check) {
+        result.converged = true;
+        break;
+      }
       // The last iteration of the budget always checks, so a solve that
       // converges there is never reported as a failure.
-      if (k < next_check && k + 1 < opts_.max_iterations) continue;
-      PhaseTimer phase_timer(profile_, state.phase.reduction_seconds);
-      static obs::Counter& residual_checks =
-          obs::counter("mmsim.residual_checks");
-      residual_checks.add();
-      ++result.residual_checks;
-      if (!scaled_residual_ok(state.z, state.w)) {
+      if (k >= next_check || k + 1 == opts_.max_iterations) {
+        PhaseTimer phase_timer(profile_, state.phase.reduction_seconds);
+        static obs::Counter& residual_checks =
+            obs::counter("mmsim.residual_checks");
+        residual_checks.add();
+        ++result.residual_checks;
+        if (scaled_residual_ok(state.z, state.w)) {
+          result.converged = true;
+          break;
+        }
         next_check = k + kResidualCheckStride;
-        continue;
       }
     }
-    result.converged = true;
-    break;
+    // Sample z's sign pattern once per stride; the polish step must fit in
+    // the budget.
+    if (!opts_.residual_check || (k + 1) % kResidualCheckStride != 0 ||
+        k + 2 > opts_.max_iterations)
+      continue;
+    bool unchanged = sampled;
+    state.signs.resize(n + m);
+    for (std::size_t i = 0; i < n + m; ++i) {
+      const unsigned char sign = state.z[i] > 0.0;
+      unchanged = unchanged && state.signs[i] == sign;
+      state.signs[i] = sign;
+    }
+    sampled = true;
+    stable = unchanged ? stable + 1 : 0;
+    if (stable < wait) continue;
+    // No PhaseTimer here: the polish step's own phases are timed by step().
+    static obs::Counter& polish_attempts =
+        obs::counter("mmsim.polish_attempts");
+    polish_attempts.add();
+    ++result.polish_attempts;
+    if (try_polish(state, &result.final_delta)) {
+      static obs::Counter& polished = obs::counter("mmsim.polished");
+      polished.add();
+      result.polished = true;
+      result.converged = true;
+      break;
+    }
+    stable = 0;
+    wait *= 2;
   }
   result.iterations = state.iterations;
   {

@@ -78,6 +78,13 @@ struct MmsimOptions {
   /// the last iteration of the budget. A solve therefore stops at most 15
   /// iterations after the first iteration at which both tests pass (when
   /// they keep passing), and never reports converged without both.
+  ///
+  /// The residual check also enables the active-set polish (see
+  /// MmsimSolver::try_polish): once z's sign pattern holds still, one exact
+  /// KKT solve on that active set replaces the remaining iterations,
+  /// accepted only when its iterate passes both tests. A polished solve
+  /// stops no later than the unpolished one would; a rejected attempt
+  /// leaves the trajectory bitwise untouched.
   bool residual_check = true;
   double residual_tolerance = 1e-7;
   /// Record ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞ every `trace_stride` iterations into
@@ -123,6 +130,10 @@ struct MmsimResult {
   /// Scaled-residual evaluations the stopping rule ran (see
   /// MmsimOptions::residual_check).
   std::size_t residual_checks = 0;
+  /// Active-set polish attempts, and whether one was accepted (the solve
+  /// then stopped on it; see MmsimSolver::try_polish).
+  std::size_t polish_attempts = 0;
+  bool polished = false;
   bool converged = false;
   double final_delta = 0.0;   ///< last ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞
   double setup_seconds = 0.0;
@@ -163,10 +174,17 @@ class MmsimSolver {
    private:
     friend class MmsimSolver;
     Vector s1, s2;            ///< splitting state, primal / dual parts
-    Vector z_prev;
-    Vector abs1, abs2, rhs1, rhs2, new_s1, new_s2;  ///< scratch
+    Vector rhs2, new_s1, new_s2;  ///< scratch of both step paths
+    /// Scratch of the reference path only (sized by its first step).
+    Vector z_prev, abs1, abs2, rhs1;
     Vector thomas_d;          ///< Thomas forward-sweep scratch
     Vector w;                 ///< A z + q of the residual check
+    // Active-set polish (try_polish): z's sign pattern at the last sample,
+    // and the iterate a rejected attempt restores. The linear algebra's
+    // scratch is per thread instead (see solve_active_set), so the many
+    // resident states of a workspace do not each carry it.
+    std::vector<unsigned char> signs;
+    Vector saved_s1, saved_s2, saved_z;
   };
 
   /// Fresh state at s⁽⁰⁾ = 0.
@@ -189,6 +207,30 @@ class MmsimSolver {
   /// residual_check policy in MmsimOptions).
   double step(State& state) const;
 
+  /// Active-set polish of the current iterate. Takes the active set from
+  /// z's sign pattern — F = {i < n : x_i > 0} free variables, J = {r :
+  /// y_r > 0} tight rows — and solves the KKT system restricted to it
+  /// exactly:
+  ///
+  ///     S_J y_J = b_J + B_J K_F⁻¹ p_F,   S_J = B_J K_F⁻¹ B_Jᵀ,
+  ///     x_F = K_F⁻¹ (B_Jᵀ y_J − p_F),    every other entry of z = 0.
+  ///
+  /// K_F⁻¹ is block diagonal (one small block per cell), so S_J splits
+  /// into independent clusters of rows coupled through shared cells, each
+  /// factored by its own dense Cholesky; no |J|×|J| matrix is formed. The
+  /// candidate is accepted only if it passes the scaled residual test, and
+  /// if one step() from its modulus fixed point s = γ(z − w)/2 (w = A z + q)
+  /// has delta < tolerance and passes the residual test again: the state
+  /// then holds that stepped iterate, one iteration later. Otherwise —
+  /// a non-positive pivot, a cluster over the size cap, or a failed
+  /// test — s, z and the iteration count are restored bitwise and false
+  /// is returned. The active-set solve is serial and reads only z's
+  /// signs; nothing allocates once the state and thread have seen the
+  /// shape. On acceptance `*delta` (when given) receives the step's delta.
+  /// run_loop calls this when the sign pattern holds still (only with
+  /// residual_check on).
+  bool try_polish(State& state, double* delta = nullptr) const;
+
   /// The tridiagonal Schur approximation D = tridiag(B K⁻¹ Bᵀ).
   const linalg::Tridiagonal& schur_tridiagonal() const { return d_; }
 
@@ -206,6 +248,11 @@ class MmsimSolver {
   double estimate_mu_max() const;
 
  private:
+  /// Writes the active-set solution for the sign pattern `signs` into z;
+  /// false when a cluster is too large or not positive definite.
+  bool solve_active_set(const std::vector<unsigned char>& signs,
+                        Vector& z) const;
+
   /// True when the scaled LCP residual of z is below residual_tolerance.
   /// `w` is scratch for A z + q (reused, so a check allocates nothing).
   bool scaled_residual_ok(const Vector& z, Vector& w) const;

@@ -48,6 +48,8 @@ class MmsimLcpSolver final : public LcpSolver {
     result.dual = std::move(mmsim.dual);
     result.iterations = mmsim.iterations;
     result.residual_checks = mmsim.residual_checks;
+    result.polish_attempts = mmsim.polish_attempts;
+    result.polished = mmsim.polished;
     result.converged = mmsim.converged;
     result.setup_seconds = mmsim.setup_seconds;
     result.solve_seconds = mmsim.solve_seconds;

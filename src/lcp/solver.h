@@ -37,6 +37,10 @@ struct LcpSolveResult {
   std::size_t iterations = 0;
   /// MMSIM scaled-residual checks of the stopping rule (0 for PSOR/Lemke).
   std::size_t residual_checks = 0;
+  /// MMSIM active-set polish attempts, and whether one was accepted (see
+  /// MmsimSolver::try_polish; 0/false for PSOR/Lemke).
+  std::size_t polish_attempts = 0;
+  bool polished = false;
   bool converged = false;
   /// True when the solve started from a matching warm-start payload in its
   /// workspace slot (MMSIM's s, PSOR's z). Always false for cold solves and

@@ -75,6 +75,13 @@ void staged_component_loop(std::size_t num, bool staged, ExtractFn&& extract,
   });
 }
 
+/// Spacing rows held tight (positive multiplier) in a solution — the
+/// active set an accepted polish solved on. Span telemetry only.
+std::size_t active_rows(const Vector& dual) {
+  return static_cast<std::size_t>(std::count_if(
+      dual.begin(), dual.end(), [](double y) { return y > 0.0; }));
+}
+
 /// What every solve driver produces; one shared epilogue consumes it.
 struct SolveOutcome {
   Vector x;  ///< global primal solution
@@ -99,7 +106,11 @@ SolveOutcome solve_monolithic(const LegalizationModel& model,
   lcp::MmsimResult result = solver.solve_in(workspace.slot(0).state);
   span.arg("iterations", result.iterations)
       .arg("checks", result.residual_checks)
+      .arg("polish", result.polish_attempts)
+      .arg("polished", result.polished)
+      .arg("active", active_rows(result.dual))
       .arg("converged", result.converged);
+  stats.components_polished = result.polished ? 1 : 0;
   if (!result.converged) {
     MCH_LOG(kWarn) << "MMSIM did not converge in " << result.iterations
                    << " iterations (delta " << result.final_delta << ")";
@@ -158,6 +169,7 @@ SolveOutcome solve_tiered(const LegalizationModel& model,
   // Zeroed on entry so an escalated-retry pass overwrites the counters of
   // the failed pass instead of double-counting.
   stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
+  stats.components_polished = 0;
   stats.component_iterations = 0;
 
   std::vector<std::size_t> order(num);
@@ -204,6 +216,9 @@ SolveOutcome solve_tiered(const LegalizationModel& model,
                 ->solve(&workspace.slot(c), /*warm_start=*/true);
         span.arg("iterations", results[c].iterations)
             .arg("checks", results[c].residual_checks)
+            .arg("polish", results[c].polish_attempts)
+            .arg("polished", results[c].polished)
+            .arg("active", active_rows(results[c].dual))
             .arg("warm", results[c].warm_started);
         // Scatter and drop the local solution before the next extraction.
         // Variable sets are disjoint across components, so the shared
@@ -227,6 +242,7 @@ SolveOutcome solve_tiered(const LegalizationModel& model,
         break;
     }
     stats.component_iterations += results[c].iterations;
+    if (results[c].polished) ++stats.components_polished;
     stats.phase.accumulate(results[c].phase);
     outcome.iterations = std::max(outcome.iterations, results[c].iterations);
     if (!results[c].converged) {
@@ -279,6 +295,7 @@ SolveOutcome recover_components(const db::Design& design,
   outcome.clamped_cells = std::move(report.clamped_cells);
 
   stats.phase.accumulate(report.phase);
+  stats.components_polished = report.components_polished;
   // Historical semantics: every component counts as routed through the
   // ladder here (the report itself only counts beyond-primary ladders).
   stats.recovery.component_ladders += num;
@@ -332,6 +349,9 @@ ComponentSolveReport solve_components(const db::Design& design,
             recovery, jobs[c].slot, /*warm_start=*/true);
         span.arg("iterations", recovered[c].result.iterations)
             .arg("checks", recovered[c].result.residual_checks)
+            .arg("polish", recovered[c].result.polish_attempts)
+            .arg("polished", recovered[c].result.polished)
+            .arg("active", active_rows(recovered[c].result.dual))
             .arg("rung", lcp::to_string(recovered[c].rung));
         if (recovered[c].rung != lcp::RecoveryRung::kExhausted) {
           // Variable sets are disjoint across jobs (caller's contract),
@@ -397,6 +417,7 @@ ComponentSolveReport solve_components(const db::Design& design,
       // released.
       report.iterations = std::max(report.iterations, rec.result.iterations);
       report.component_iterations += rec.result.iterations;
+      if (rec.result.polished) ++report.components_polished;
       report.phase.accumulate(rec.result.phase);
     }
   }

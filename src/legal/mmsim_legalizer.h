@@ -182,6 +182,10 @@ struct MmsimLegalizerStats {
   std::size_t components_mmsim = 0;      ///< components solved by MMSIM
   std::size_t components_psor = 0;       ///< ... by PSOR
   std::size_t components_lemke = 0;      ///< ... by Lemke
+  /// MMSIM systems whose accepted solve stopped on an active-set polish
+  /// (lcp::MmsimSolver::try_polish). Under kOff the monolithic system
+  /// counts as one.
+  std::size_t components_polished = 0;
   /// Total iterations (or Lemke pivots) summed over components. Under
   /// kTiered this is the decomposition's headline saving: components stop
   /// independently instead of all running to the slowest one's count.
@@ -228,6 +232,8 @@ struct ComponentSolveReport {
   std::size_t components_mmsim = 0;
   std::size_t components_psor = 0;
   std::size_t components_lemke = 0;
+  /// Jobs whose accepted MMSIM solve stopped on an active-set polish.
+  std::size_t components_polished = 0;
   /// Jobs whose accepted solve actually started from a matching warm-start
   /// payload in its slot.
   std::size_t warm_started = 0;

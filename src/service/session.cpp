@@ -372,6 +372,7 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
   result.solver.components_mmsim = report.components_mmsim;
   result.solver.components_psor = report.components_psor;
   result.solver.components_lemke = report.components_lemke;
+  result.solver.components_polished = report.components_polished;
   result.solver.component_iterations = report.component_iterations;
   result.solver.simd_level = linalg::simd_level();
   result.solver.phase = report.phase;

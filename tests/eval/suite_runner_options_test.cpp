@@ -32,17 +32,32 @@ TEST(SuiteRunnerOptionsTest, CustomLambdaReachesTheModel) {
 }
 
 TEST(SuiteRunnerOptionsTest, CustomToleranceChangesIterations) {
+  // The tolerance reaches the MMSIM. With the residual check off, the
+  // solves stop at the first small delta, so a coarser tolerance must stop
+  // strictly earlier. With it on (the default), the active-set polish ends
+  // most component solves at the same exact KKT point whatever the
+  // tolerance, so the coarse run may tie but never run longer.
   db::Design design = small_design(2);
-  legal::FlowOptions coarse;
-  coarse.solver.mmsim.tolerance = 1e-2;
-  const RunResult coarse_run =
-      run_legalizer(design, Legalizer::kMmsim, coarse);
-  legal::FlowOptions fine;
-  fine.solver.mmsim.tolerance = 1e-8;
-  const RunResult fine_run = run_legalizer(design, Legalizer::kMmsim, fine);
+  const auto run = [&](double tolerance, bool residual_check) {
+    legal::FlowOptions options;
+    options.solver.mmsim.tolerance = tolerance;
+    options.solver.mmsim.residual_check = residual_check;
+    db::Design copy = design;
+    return run_legalizer(copy, Legalizer::kMmsim, options);
+  };
+  const RunResult coarse_run = run(1e-2, false);
+  const RunResult fine_run = run(1e-8, false);
   EXPECT_LT(coarse_run.solver_iterations, fine_run.solver_iterations);
+  EXPECT_EQ(coarse_run.solver_components_polished, 0u);
   EXPECT_TRUE(coarse_run.legal);
   EXPECT_TRUE(fine_run.legal);
+
+  const RunResult coarse_checked = run(1e-2, true);
+  const RunResult fine_checked = run(1e-8, true);
+  EXPECT_LE(coarse_checked.solver_iterations, fine_checked.solver_iterations);
+  EXPECT_GT(fine_checked.solver_components_polished, 0u);
+  EXPECT_TRUE(coarse_checked.legal);
+  EXPECT_TRUE(fine_checked.legal);
 }
 
 TEST(SuiteRunnerOptionsTest, ReportedMetricsMatchDirectComputation) {

@@ -5,14 +5,16 @@
 #include <fstream>
 
 #include "gen/generator.h"
+#include "test_dir.h"
 #include "util/check.h"
 
 namespace mch::io {
 namespace {
 
-/// Writes a small hand-crafted Bookshelf bundle and returns the .aux path.
+/// Writes a small hand-crafted Bookshelf bundle into the test's own
+/// directory and returns the .aux path.
 std::string write_sample_bundle() {
-  const std::string dir = testing::TempDir();
+  const std::string dir = test_dir();
   {
     std::ofstream aux(dir + "/sample.aux");
     aux << "RowBasedPlacement : sample.nodes sample.nets sample.wts "
@@ -114,7 +116,7 @@ TEST(BookshelfTest, RoundTripThroughWriter) {
   db::Design original = gen::generate_random_design(60, 8, 0.4, options);
   original.name = "rt";
 
-  const std::string dir = testing::TempDir();
+  const std::string dir = test_dir();
   save_bookshelf(dir, "rt", original);
   const db::Design loaded = load_bookshelf(dir + "/rt.aux");
 
@@ -147,8 +149,7 @@ TEST(BookshelfTest, MissingAuxThrows) {
 }
 
 TEST(BookshelfTest, NonRowMultipleMovableRejected) {
-  const std::string dir = testing::TempDir() + "/badheight";
-  (void)std::system(("mkdir -p " + dir).c_str());
+  const std::string dir = test_dir();
   {
     std::ofstream aux(dir + "/bad.aux");
     aux << "RowBasedPlacement : bad.nodes bad.nets bad.wts bad.pl bad.scl\n";
@@ -180,8 +181,7 @@ TEST(BookshelfTest, NonRowMultipleMovableRejected) {
 
 TEST(BookshelfTest, CoordinateShiftToOrigin) {
   // Rows starting at y = 100, origin x = 50: everything shifts to (0, 0).
-  const std::string dir = testing::TempDir() + "/shifted";
-  (void)std::system(("mkdir -p " + dir).c_str());
+  const std::string dir = test_dir();
   {
     std::ofstream aux(dir + "/s.aux");
     aux << "RowBasedPlacement : s.nodes s.nets s.wts s.pl s.scl\n";

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gen/generator.h"
+#include "test_dir.h"
 #include "util/check.h"
 
 namespace mch::io {
@@ -59,7 +60,7 @@ TEST(DesignIoTest, RoundTripPreservesEverything) {
 
 TEST(DesignIoTest, FileRoundTrip) {
   const db::Design original = sample_design();
-  const std::string path = testing::TempDir() + "/mch_io_test.design";
+  const std::string path = test_dir() + "/mch_io_test.design";
   save_design(path, original);
   const db::Design loaded = load_design(path);
   EXPECT_EQ(loaded.num_cells(), original.num_cells());

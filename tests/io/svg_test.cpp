@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "gen/generator.h"
+#include "test_dir.h"
 
 namespace mch::io {
 namespace {
@@ -96,7 +97,7 @@ TEST(SvgTest, FixedMacrosGrayAndWithoutDisplacementLines) {
 }
 
 TEST(SvgTest, SaveWritesFile) {
-  const std::string path = testing::TempDir() + "/mch_svg_test.svg";
+  const std::string path = test_dir() + "/mch_svg_test.svg";
   save_svg(path, sample_design());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());

@@ -270,9 +270,13 @@ INSTANTIATE_TEST_SUITE_P(Instances, MmsimRandomSweep, ::testing::Range(0, 8));
 //
 // run_loop checks the scaled residual at the first iteration whose delta is
 // below tolerance, then no sooner than 16 iterations after each failed
-// check, and always on the budget's last iteration. These tests drive
-// step() by hand with a residual check on every iteration — the reference
-// trajectory — and hold solve() to it.
+// check, and always on the budget's last iteration. Once z's sign pattern
+// holds still it also attempts the active-set polish, and stops on an
+// accepted one. These tests drive step() by hand with a residual check on
+// every iteration — the reference trajectory, whose first stop is k* — and
+// hold solve() to it: every solve stops by k* + 15 on an iterate that
+// passes both tests, and a solve the polish never ends follows the strided
+// rule alone, bitwise on the hand-driven trajectory.
 
 constexpr std::size_t kStride = 16;
 
@@ -296,6 +300,8 @@ bool residual_passes(const StructuredQp& qp, const Vector& z, double tol) {
 struct Trajectory {
   std::vector<bool> delta_ok;
   std::vector<bool> residual_ok;
+  /// z after iteration `z_at_iteration` (empty when not captured).
+  Vector z;
 
   /// Iteration number of the first entry where `pred(i)` holds.
   template <typename Pred>
@@ -315,48 +321,58 @@ struct Trajectory {
   }
 };
 
+/// Drives step() by hand for at least `iterations` iterations and on to
+/// k* + kStride − 1 (within the options' budget), capturing z after
+/// `z_at_iteration`.
 Trajectory drive_by_hand(const StructuredQp& qp, const MmsimSolver& solver,
-                         const MmsimOptions& options, std::size_t iterations) {
+                         const MmsimOptions& options, std::size_t iterations,
+                         std::size_t z_at_iteration = 0) {
   Trajectory t;
   MmsimSolver::State state = solver.make_state();
-  for (std::size_t k = 0; k < iterations; ++k) {
+  std::optional<std::size_t> k_star;
+  for (std::size_t k = 0; k < options.max_iterations; ++k) {
+    if (k >= iterations && k_star && k + 1 >= *k_star + kStride) break;
     const double delta = solver.step(state);
     t.delta_ok.push_back(k > 0 && delta < options.tolerance);
     t.residual_ok.push_back(
         residual_passes(qp, state.z, options.residual_tolerance));
+    if (!k_star && t.delta_ok.back() && t.residual_ok.back()) k_star = k + 1;
+    if (k + 1 == z_at_iteration) t.z = state.z;
   }
   return t;
 }
 
 /// One QP for the stopping-rule tests, with the Schur coupling breaks of an
-/// extracted component (empty for a whole problem).
+/// extracted component (empty for a whole problem), the solver options
+/// (the legalizer's defaults unless noted), and whether the solve ends on
+/// an accepted polish.
 struct StopInstance {
   std::string name;
   StructuredQp qp;
   std::vector<bool> breaks;
+  MmsimOptions options;
+  bool polishes = true;
 };
 
-/// A single row of 40 unit-weight cells of width 4 whose GP targets sit
-/// 3.5 sites apart on average: the whole row is one compressed chain, so
-/// the iteration contracts slowly and the delta test passes hundreds of
-/// iterations before the residual does.
-StopInstance chain_instance() {
-  constexpr std::size_t kCells = 40;
-  constexpr double kPitch = 3.5;
-  StopInstance inst{"chain", {}, {}};
-  for (std::size_t i = 0; i < kCells; ++i)
-    inst.qp.K.add_scalar_block(1.0);
-  inst.qp.p.resize(kCells);
-  for (std::size_t i = 0; i < kCells; ++i)
-    inst.qp.p[i] = -(kPitch * static_cast<double>(i) +
+/// A single row of `cells` unit-weight cells of width 4 whose GP targets
+/// sit `pitch` sites apart on average: the whole row is one compressed
+/// chain, so the iteration contracts slowly and the delta test passes
+/// hundreds of iterations before the residual does.
+StopInstance chain_instance(std::string name, std::size_t cells,
+                            double pitch) {
+  StopInstance inst{std::move(name), {}, {}, {}};
+  for (std::size_t i = 0; i < cells; ++i) inst.qp.K.add_scalar_block(1.0);
+  inst.qp.p.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i)
+    inst.qp.p[i] = -(pitch * static_cast<double>(i) +
                      1.5 * static_cast<double>(i % 7));
-  linalg::CooMatrix coo(kCells - 1, kCells);
-  for (std::size_t r = 0; r + 1 < kCells; ++r) {
+  linalg::CooMatrix coo(cells - 1, cells);
+  for (std::size_t r = 0; r + 1 < cells; ++r) {
     coo.add(r, r, -1.0);
     coo.add(r, r + 1, 1.0);
   }
   inst.qp.B = linalg::CsrMatrix::from_coo(coo);
-  inst.qp.b.assign(kCells - 1, 4.0);
+  inst.qp.b.assign(cells - 1, 4.0);
   return inst;
 }
 
@@ -380,12 +396,24 @@ StopInstance component_50k_instance() {
       model.component_problem(partition.component_variables[largest],
                               partition.component_constraints[largest]);
   return {"component50k", std::move(component.qp),
-          std::move(component.schur_coupling_breaks)};
+          std::move(component.schur_coupling_breaks), {}};
 }
 
 const StopInstance& stop_instance(const std::string& name) {
-  static const StopInstance chain = chain_instance();
+  static const StopInstance chain = chain_instance("chain", 40, 3.5);
   if (name == "chain") return chain;
+  // 525 consecutive rows end tight, pinned against x = 0: one cluster,
+  // more than the polish factors densely (512 rows). Every attempt is
+  // rejected, so the solve runs on the strided rule alone. Looser
+  // tolerances keep it to ~1.5k iterations (~39k at the defaults).
+  static const StopInstance long_chain = [] {
+    StopInstance inst = chain_instance("longchain", 530, 4.0);
+    inst.options.tolerance = 1e-3;
+    inst.options.residual_tolerance = 1e-5;
+    inst.polishes = false;
+    return inst;
+  }();
+  if (name == "longchain") return long_chain;
   static const StopInstance component = component_50k_instance();
   return component;
 }
@@ -400,66 +428,106 @@ class StoppingRuleTest : public ::testing::TestWithParam<std::string> {
                        instance().breaks.empty() ? nullptr
                                                  : &instance().breaks);
   }
-  /// The default solve, plus the hand-driven trajectory over as many
-  /// iterations as it ran.
+  /// The default solve, plus the hand-driven trajectory through k* and
+  /// through as many iterations as the solve ran (capturing z there).
   void solve_and_trace(const MmsimOptions& options, MmsimResult& result,
                        Trajectory& trajectory) const {
     const MmsimSolver s = solver(options);
     result = s.solve();
-    trajectory = drive_by_hand(instance().qp, s, options, result.iterations);
+    trajectory = drive_by_hand(instance().qp, s, options, result.iterations,
+                               result.iterations);
   }
 };
 
 TEST_P(StoppingRuleTest, ConvergedSolveMeetsResidualTolerance) {
-  const MmsimOptions options;
+  const MmsimOptions options = instance().options;
   const MmsimResult result = solver(options).solve();
   ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.polished, instance().polishes);
   EXPECT_TRUE(residual_passes(instance().qp, result.z,
                               options.residual_tolerance));
   EXPECT_LT(result.final_delta, options.tolerance);
 }
 
 TEST_P(StoppingRuleTest, StopsWithinOneStrideOfFirstPassingIteration) {
-  const MmsimOptions options;
+  const MmsimOptions options = instance().options;
   MmsimResult result;
   Trajectory t;
   solve_and_trace(options, result, t);
   ASSERT_TRUE(result.converged);
+  ASSERT_EQ(result.polished, instance().polishes);
   const std::optional<std::size_t> k_star = t.first_stop();
 
   ASSERT_TRUE(k_star.has_value());
   // The instance must exercise the stride: the delta test passes before
   // the residual does, so checking every iteration would pay many checks.
   ASSERT_LT(t.first_small_delta().value() + kStride, *k_star) << GetParam();
-  EXPECT_GE(result.iterations, *k_star);
   EXPECT_LE(result.iterations, *k_star + kStride - 1);
+  // The returned iterate passes both exit tests, polished or not.
+  EXPECT_LT(result.final_delta, options.tolerance);
+  EXPECT_TRUE(residual_passes(instance().qp, result.z,
+                              options.residual_tolerance));
+  if (result.polished) return;
+  // Unpolished: the strided rule alone, bitwise on the hand trajectory.
+  EXPECT_GE(result.iterations, *k_star);
   EXPECT_TRUE(t.delta_ok[result.iterations - 1]);
   EXPECT_TRUE(t.residual_ok[result.iterations - 1]);
+  EXPECT_TRUE(result.z == t.z);
 }
 
 TEST_P(StoppingRuleTest, ChecksAtMostOncePerStride) {
-  const MmsimOptions options;
+  const MmsimOptions options = instance().options;
   MmsimResult result;
   Trajectory t;
   solve_and_trace(options, result, t);
   ASSERT_TRUE(result.converged);
   const std::size_t first = t.first_small_delta().value();
-  const std::size_t span = result.iterations - first;
-  EXPECT_GE(result.residual_checks, 1u);
+  // A polish may end the solve before the delta test ever passes; then
+  // the stopping rule never ran a check.
+  const std::size_t span =
+      result.iterations > first ? result.iterations - first : 0;
+  if (!result.polished) {
+    EXPECT_GE(result.residual_checks, 1u);
+  }
+  if (result.iterations < first) {
+    EXPECT_EQ(result.residual_checks, 0u);
+  }
   EXPECT_LE(result.residual_checks, (span + kStride - 1) / kStride + 1);
 }
 
 TEST_P(StoppingRuleTest, BudgetEndingBetweenCheckPointsStillConverges) {
-  const MmsimOptions options;
+  const MmsimOptions options = instance().options;
   MmsimResult unbounded;
   Trajectory t;
   solve_and_trace(options, unbounded, t);
   ASSERT_TRUE(unbounded.converged);
   const std::size_t k_star = t.first_stop().value();
+  std::size_t budgets = 0;
+  if (unbounded.polished) {
+    // Any budget that fits the accepted polish step ends on it, bitwise:
+    // the next stride of budgets, and those past k* where the strided rule
+    // would stop.
+    for (std::size_t budget = unbounded.iterations;
+         budget < k_star + kStride; ++budget) {
+      if (budget > unbounded.iterations + kStride &&
+          (budget < k_star || !t.delta_ok[budget - 1] ||
+           !t.residual_ok[budget - 1]))
+        continue;
+      MmsimOptions capped = options;
+      capped.max_iterations = budget;
+      const MmsimResult result = solver(capped).solve();
+      EXPECT_TRUE(result.converged) << "budget " << budget;
+      EXPECT_TRUE(result.polished) << "budget " << budget;
+      EXPECT_EQ(result.iterations, unbounded.iterations);
+      EXPECT_TRUE(result.z == unbounded.z) << "budget " << budget;
+      ++budgets;
+    }
+    EXPECT_GE(budgets, 1u);
+    return;
+  }
   // k* itself must not be a check point of the unbounded solve, or the
   // budget edge would be met by the regular cadence.
   ASSERT_GT(unbounded.iterations, k_star) << GetParam();
-  std::size_t budgets = 0;
   for (std::size_t budget = k_star; budget < unbounded.iterations; ++budget) {
     if (!t.delta_ok[budget - 1] || !t.residual_ok[budget - 1]) continue;
     MmsimOptions capped = options;
@@ -473,7 +541,7 @@ TEST_P(StoppingRuleTest, BudgetEndingBetweenCheckPointsStillConverges) {
 }
 
 TEST_P(StoppingRuleTest, WithoutResidualCheckStopsAtFirstSmallDelta) {
-  MmsimOptions options;
+  MmsimOptions options = instance().options;
   options.residual_check = false;
   MmsimResult result;
   Trajectory t;
@@ -481,11 +549,29 @@ TEST_P(StoppingRuleTest, WithoutResidualCheckStopsAtFirstSmallDelta) {
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, t.first_small_delta().value());
   EXPECT_EQ(result.residual_checks, 0u);
+  EXPECT_EQ(result.polish_attempts, 0u);
+  EXPECT_FALSE(result.polished);
 }
 
 INSTANTIATE_TEST_SUITE_P(Instances, StoppingRuleTest,
-                         ::testing::Values("chain", "component50k"),
+                         ::testing::Values("chain", "longchain",
+                                           "component50k"),
                          [](const auto& info) { return info.param; });
+
+// The 50k component's sign pattern is final about 100 iterations into
+// thousands: the polish must end its solve within a tenth of k*.
+TEST(StoppingRulePolishTest, Component50kStopsWithinATenthOfFirstStop) {
+  const StopInstance& inst = stop_instance("component50k");
+  const MmsimOptions options;
+  const MmsimSolver solver(inst.qp, options, &inst.breaks);
+  const MmsimResult result = solver.solve();
+  ASSERT_TRUE(result.converged);
+  EXPECT_TRUE(result.polished);
+  const Trajectory t = drive_by_hand(inst.qp, solver, options, 0);
+  const std::size_t k_star = t.first_stop().value();
+  EXPECT_LE(result.iterations * 10, k_star)
+      << result.iterations << " vs k* " << k_star;
+}
 
 }  // namespace
 }  // namespace mch::lcp

@@ -10,7 +10,9 @@
 #include <string>
 
 #include "db/legality.h"
+#include "design_families.h"
 #include "gen/generator.h"
+#include "legal/flow.h"
 #include "legal/mmsim_legalizer.h"
 #include "legal/row_assign.h"
 
@@ -190,6 +192,37 @@ INSTANTIATE_TEST_SUITE_P(AllModes, SurfacesFailurePerMode,
                          });
 
 // --- degenerate-design generator -------------------------------------------
+
+// The `tall` family with fixed macros (ROADMAP.md): triple- and
+// quad-height cells next to 4 macros. At seed 19 the whole solve used to
+// miss its budget (30,754 iterations), escalate once, and fail the
+// post-recovery audit. The active-set polish now ends the slow components
+// exactly, so the first pass converges, no recovery or audit engages, and
+// the flow result is legal. (Seed 16 still exhausts the ladder; the family
+// in design_families.h stays without macros until that is fixed.)
+TEST(TallMacrosRegressionTest, Seed19ConvergesWithoutEscalation) {
+  const testing::DesignFamily tall_macros = {
+      "tall_macros", 300, 30, 0.6, 4, 19, /*triple=*/0.05, /*quad=*/0.03};
+  db::Design design = testing::generate(tall_macros);
+  // Shield the test from the .recovery variant's fault injection: the
+  // contract is about the unforced solve.
+  unsetenv("MCH_FORCE_SOLVER_FAILURE");
+  for (const PartitionMode mode :
+       {PartitionMode::kTiered, PartitionMode::kOff}) {
+    db::Design copy = design;
+    FlowOptions options;
+    options.solver.partition = mode;
+    options.solver.recovery.forced_failures = 0;
+    const FlowResult result = legalize(copy, options);
+    EXPECT_TRUE(result.solver.converged) << to_string(mode);
+    EXPECT_EQ(result.solver.recovery.escalations, 0u) << to_string(mode);
+    EXPECT_FALSE(result.solver.recovery.attempted()) << to_string(mode);
+    EXPECT_FALSE(result.solver.recovery.audit_ran) << to_string(mode);
+    EXPECT_GE(result.solver.components_polished, 1u) << to_string(mode);
+    EXPECT_TRUE(result.legal)
+        << to_string(mode) << ": " << result.legality.summary();
+  }
+}
 
 TEST(DegenerateDesignTest, ModesAreDeterministicAndWellFormed) {
   for (const gen::DegenerateMode mode :

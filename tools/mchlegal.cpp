@@ -208,6 +208,9 @@ int main(int argc, char** argv) {
                     "%zu component iterations\n",
                     result.solver_components, result.solver_max_component,
                     result.solver_component_iterations);
+      std::printf("active-set polish:   %zu MMSIM system(s) stopped on an "
+                  "exact active-set solve\n",
+                  result.solver_components_polished);
       if (result.solver_recovery.attempted() || !result.solver_converged) {
         const legal::RecoveryStats& rec = result.solver_recovery;
         MCH_LOG(kInfo) << "recovery: " << rec.escalations

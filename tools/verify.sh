@@ -170,7 +170,8 @@ if [[ "$FAST" == 0 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   ASAN_TARGETS=(
     lcp_mmsim_test lcp_mmsim_fused_test lcp_solver_test lcp_psor_test
-    legal_mmsim_legalizer_test legal_partition_test linalg_csr_test
+    lcp_polish_test legal_mmsim_legalizer_test legal_partition_test
+    linalg_csr_test
   )
   for t in "${ASAN_TARGETS[@]}"; do
     cmake --build build-asan -j4 --target "$t"
