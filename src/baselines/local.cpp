@@ -101,9 +101,12 @@ LocalLegalizerStats local_legalize(db::Design& design, LocalVariant variant) {
     return a < b;
   });
 
+  std::vector<char> placed(design.num_cells(), 0);
   for (const std::size_t id : order) {
     db::Cell& cell = design.cells()[id];
-    if (!place_cell(design, grid, cell, stats)) {
+    if (place_cell(design, grid, cell, stats)) {
+      placed[id] = 1;
+    } else {
       ++stats.failed_cells;
       MCH_LOG(kWarn) << "local legalizer: no position for cell " << id;
     }
@@ -114,9 +117,11 @@ LocalLegalizerStats local_legalize(db::Design& design, LocalVariant variant) {
   // strictly reduces that cell's displacement, so the refined placement is
   // never worse than the base one. This mirrors the authors'
   // post-conference improved binary, which beat their DAC'16 numbers (see
-  // paper Table 2 "DAC'16-Imp").
+  // paper Table 2 "DAC'16-Imp"). Cells the base pass could not place hold
+  // no span in the grid and stay out of the refinement.
   if (variant == LocalVariant::kImproved) {
     for (const std::size_t id : order) {
+      if (placed[id] == 0) continue;
       db::Cell& cell = design.cells()[id];
       grid.release_cell(cell);
       const double old_x = cell.x;

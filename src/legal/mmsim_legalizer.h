@@ -15,12 +15,18 @@
 //               constraint-free ones, MMSIM otherwise) with independent
 //               termination — each component stops as soon as *it*
 //               converges, which is where the decomposition's iteration
-//               savings come from. Components are extracted, solved and
-//               released one per worker, largest first. Every solve starts
-//               cold, so the result is a pure function of (design, options):
-//               bitwise identical at any thread count, schedule or caller.
+//               savings come from. Every component runs through
+//               solve_components, the one component driver the session's
+//               ECO path uses too: a plain parallel_for over the jobs,
+//               largest first, each extracting, solving (through the
+//               per-component recovery ladder) and releasing its own
+//               sub-problem. Every solve starts cold, so the result is a
+//               pure function of (design, options): bitwise identical at
+//               any thread count, schedule or caller.
 //   * kOff    — the paper-literal monolithic solve, kept as the oracle the
-//               tiered result is checked against (to solver tolerance).
+//               tiered result is checked against (to solver tolerance). When
+//               it fails, it partitions and hands every component to the
+//               same solve_components ladder.
 #pragma once
 
 #include <cstddef>
@@ -57,16 +63,13 @@ struct SolverPolicy {
   bool psor_for_unconstrained = true;
 };
 
-/// Machine-readable record of one component (or the monolithic system) that
-/// exhausted every rung of the escalation ladder. The affected cells were
-/// clamped to their row-assigned snap positions instead of receiving an
-/// unconverged iterate; downstream consumers decide whether to re-run,
-/// reject, or ship with the documented degradation.
+/// Machine-readable record of one component that exhausted every rung of
+/// its escalation ladder. The affected cells were clamped to their
+/// row-assigned snap positions instead of receiving an unconverged iterate;
+/// downstream consumers decide whether to re-run, reject, or ship with the
+/// documented degradation.
 struct SolveFailure {
-  /// Component index within the partition that was recovered; kMonolithic
-  /// when the failure covers the whole undecomposed system.
-  static constexpr std::size_t kMonolithic = static_cast<std::size_t>(-1);
-  std::size_t component = kMonolithic;
+  std::size_t component = 0;  ///< component index within the partition
   std::size_t num_variables = 0;
   std::size_t num_constraints = 0;
   std::size_t attempts = 0;    ///< ladder attempts before giving up
@@ -82,12 +85,13 @@ struct SolveFailure {
 /// failure, so converged runs stay bitwise identical to a recovery-free
 /// build.
 struct RecoveryStats {
-  std::size_t escalations = 0;        ///< whole-solve escalated retries
-  std::size_t component_ladders = 0;  ///< components routed through the
-                                      ///< per-component solver ladder
-  std::size_t ladder_attempts = 0;    ///< total attempts across those ladders
+  /// Ladders that went past their primary rung: components whose primary
+  /// solve failed, plus (under kOff) the monolithic system when its failure
+  /// sent the solve down to the per-component ladders.
+  std::size_t component_ladders = 0;
+  std::size_t ladder_attempts = 0;  ///< total attempts across those ladders
   std::size_t recovered_components = 0;  ///< ladder successes past the
-                                         ///< primary rung
+                                         ///< primary rung (same ladders)
   std::size_t clamped_components = 0;    ///< ladders exhausted → snap-clamped
   std::size_t clamped_cells = 0;
   std::size_t extra_iterations = 0;  ///< iterations burned by failed attempts
@@ -100,9 +104,7 @@ struct RecoveryStats {
   /// Structured record per clamped component.
   std::vector<SolveFailure> failures;
 
-  bool attempted() const {
-    return escalations > 0 || component_ladders > 0;
-  }
+  bool attempted() const { return component_ladders > 0; }
 };
 
 struct MmsimLegalizerOptions {
@@ -121,24 +123,18 @@ struct MmsimLegalizerOptions {
   /// arena's warm-start payloads on entry: the arena is for buffer reuse,
   /// and every solve of a call starts cold.
   lcp::SolverWorkspace* workspace = nullptr;
-  /// Non-convergence escalation ladder (see lcp/solver.h). forced_failures
-  /// is additionally resolved from MCH_FORCE_SOLVER_FAILURE for the
-  /// fault-injection ctest variant. Disable to restore the legacy behavior
-  /// of surfacing converged == false without retrying (the unconverged
-  /// iterate is still written back then — tests of the surfacing path only).
+  /// Non-convergence escalation ladder (see lcp/solver.h), walked per
+  /// component. forced_failures is additionally resolved from
+  /// MCH_FORCE_SOLVER_FAILURE for the fault-injection ctest variant. With
+  /// recovery disabled a failed solve is not retried: kTiered clamps the
+  /// failed components to snap positions (with SolveFailure records), kOff
+  /// writes back the unconverged monolithic iterate (tests of the
+  /// surfacing path only).
   lcp::RecoveryOptions recovery;
   /// Absolute tolerance of the post-recovery legality audit. The audited
   /// result is continuous (pre-snap), so the tolerance must absorb solver
   /// tolerance and residual λ-mismatch; 1e-2 is far below a site width.
   double audit_tolerance = 1e-2;
-
-  /// Double-buffered staging for the component drivers: each lane
-  /// extracts the next component's gather tables before the current solve
-  /// occupies it, so solves never wait on extraction (at most two live
-  /// sub-problems per lane). Results are unchanged — extraction is pure and
-  /// every result is keyed by component id. Also gated globally by
-  /// MCH_SCHED_STAGING (runtime::Scheduler::staging_enabled()).
-  bool staged_extraction = true;
 
   // Session hooks (src/service/): a resident session builds the model once
   // per request itself and keeps the solution/partition across requests.
@@ -163,8 +159,9 @@ struct MmsimLegalizerOptions {
 struct MmsimLegalizerStats {
   std::size_t num_variables = 0;
   std::size_t num_constraints = 0;
-  /// kOff: global MMSIM iterations. kTiered: the maximum over components —
-  /// the parallel critical path.
+  /// kOff: global MMSIM iterations. kTiered: the maximum over the
+  /// components that did not exhaust their ladder — the parallel critical
+  /// path.
   std::size_t iterations = 0;
   bool converged = false;
   double max_mismatch = 0.0;     ///< worst subcell disagreement before restore
@@ -223,44 +220,48 @@ struct ComponentSolveJob {
   std::size_t component_id = 0;
 };
 
-/// What solve_components did, in the same vocabulary as
-/// MmsimLegalizerStats: per-solver component counts, iteration max/sum,
-/// ladder activity, and the cells that had to be snap-clamped.
+/// What solve_components hands back beyond the figures it writes into
+/// MmsimLegalizerStats.
 struct ComponentSolveReport {
-  std::size_t iterations = 0;            ///< max over jobs (critical path)
-  std::size_t component_iterations = 0;  ///< summed over jobs
-  std::size_t components_mmsim = 0;
-  std::size_t components_psor = 0;
-  std::size_t components_lemke = 0;
-  /// Jobs whose accepted MMSIM solve stopped on an active-set polish.
-  std::size_t components_polished = 0;
   /// Jobs whose accepted solve actually started from a matching warm-start
   /// payload in its slot.
   std::size_t warm_started = 0;
-  bool converged = true;  ///< false iff some ladder was exhausted
-  lcp::MmsimPhaseTimes phase;
-  RecoveryStats recovery;  ///< ladder attempts, clamps, failure records
   /// Cells of exhausted components; their entries in x hold snap positions
-  /// (gp_x clamped into the chip) and the caller must clamp the restored
-  /// position the same way the legalizer does.
+  /// (gp_x clamped into the chip), and write_back clamps their restored
+  /// positions the same way.
   std::vector<std::size_t> clamped_cells;
 };
 
-/// Solves an explicit set of components of `model` — each through the
-/// tiered solver policy and the per-component escalation ladder — and
-/// scatters every primal solution into the global vector `x` (entries of
-/// other components are left untouched). Each job's sub-problem is
-/// extracted, solved, scattered, and released inside its worker, so at most
-/// one extraction per pool thread is live at a time. Jobs run in parallel;
-/// each slot warm-starts its solve when it holds a matching-shape payload,
-/// and exhausted ladders degrade to snap clamps exactly like the full
-/// legalizer. This is the session/ECO building block: the caller decides
-/// which components are dirty and which slot backs each one.
+/// The one component driver: solves an explicit set of components of
+/// `model` — each through the tiered solver policy and the per-component
+/// escalation ladder — and scatters every primal solution into the global
+/// vector `x` (entries of other components are left untouched). Jobs run
+/// as a plain parallel_for, largest first; each extracts, solves, scatters
+/// and releases its sub-problem inside its worker, so at most one
+/// extraction per pool thread is live at a time. Each slot warm-starts its
+/// solve when it holds a matching-shape payload, and exhausted ladders
+/// degrade to snap clamps. Distinct jobs must hold distinct slots and
+/// disjoint variable sets.
+///
+/// Writes this call's figures into `stats` — iterations (the maximum over
+/// jobs: the critical path), converged, the per-solver component counts,
+/// components_polished and component_iterations — and adds its phase times
+/// and ladder activity to what `stats.phase` / `stats.recovery` already
+/// hold. The one-shot legalizer runs every component through it; the
+/// session runs the dirty ones.
 ComponentSolveReport solve_components(const db::Design& design,
                                       const LegalizationModel& model,
                                       const std::vector<ComponentSolveJob>& jobs,
                                       const MmsimLegalizerOptions& options,
                                       const lcp::RecoveryOptions& recovery,
-                                      lcp::Vector& x);
+                                      lcp::Vector& x,
+                                      MmsimLegalizerStats& stats);
+
+/// Writes the solution `x` of `model` back into the design: every live
+/// movable cell takes its subcell mean as x — clamped into the chip for the
+/// cells in `clamped_cells` — and the y of its assigned base row.
+void write_back(db::Design& design, const LegalizationModel& model,
+                const lcp::Vector& x,
+                const std::vector<std::size_t>& clamped_cells);
 
 }  // namespace mch::legal

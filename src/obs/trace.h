@@ -94,8 +94,8 @@ class TraceSpan {
     return arg_int(key, static_cast<std::int64_t>(value));
   }
 
-  /// Enough for the widest span, solve.component (ten args).
-  static constexpr std::size_t kMaxArgs = 10;
+  /// Enough for the widest span, solve.component (eleven args).
+  static constexpr std::size_t kMaxArgs = 11;
 
  private:
   TraceSpan& arg_int(const char* key, std::int64_t value);

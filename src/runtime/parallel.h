@@ -24,9 +24,7 @@
 // scheduler — its chunks are pushed as stealable children onto the calling
 // worker's deque, so idle workers help instead of the construct silently
 // serializing. The chunk layout is the same either way, so results are
-// unchanged. With MCH_SCHED_NESTED=0 (or from a single-threaded runtime)
-// the legacy inline fallback runs on the calling thread, and the chunks it
-// serializes are counted in the `sched.nested_inline` metric.
+// unchanged.
 #pragma once
 
 #include <cstddef>
@@ -65,14 +63,8 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   if (grain == 0) grain = 1;
   const std::size_t chunks = chunk_count(n, grain);
 
-  Runtime& runtime = Runtime::instance();
-  Scheduler* sched = runtime.scheduler();
-  const bool nested = Scheduler::in_task();
-  if (sched == nullptr || chunks == 1 ||
-      (nested && !Scheduler::nested_scheduling_enabled())) {
-    // Inline fallback. A nested construct that lands here serializes on
-    // the calling thread; surface that in the sched.nested_inline metric.
-    if (nested && chunks > 1) Scheduler::note_nested_inline(chunks);
+  Scheduler* sched = Runtime::instance().scheduler();
+  if (sched == nullptr || chunks == 1) {
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t lo = begin + c * grain;
       const std::size_t hi = lo + grain < end ? lo + grain : end;

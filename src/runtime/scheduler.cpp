@@ -45,11 +45,9 @@ bool env_flag(const char* name, bool default_value) {
   return !(value[0] == '0' && value[1] == '\0');
 }
 
-/// Knob cells: -1 = unresolved (read the environment on first use),
-/// otherwise 0/1. Setters overwrite, so tests can flip them after start.
-std::atomic<int> g_nested_scheduling{-1};
+/// Knob cell: -1 = unresolved (read the environment on first use),
+/// otherwise 0/1. The setter overwrites, so tests can flip it after start.
 std::atomic<int> g_steal_first{-1};
-std::atomic<int> g_staging{-1};
 
 bool resolve_flag(std::atomic<int>& cell, const char* env_name,
                   bool default_value) {
@@ -92,14 +90,6 @@ int Scheduler::current_worker_index() const {
   return t_worker.owner == this ? static_cast<int>(t_worker.index) : -1;
 }
 
-bool Scheduler::nested_scheduling_enabled() {
-  return resolve_flag(g_nested_scheduling, "MCH_SCHED_NESTED", true);
-}
-
-void Scheduler::set_nested_scheduling(bool enabled) {
-  g_nested_scheduling.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 bool Scheduler::steal_first() {
   return resolve_flag(g_steal_first, "MCH_SCHED_STEAL_FIRST", false);
 }
@@ -108,23 +98,8 @@ void Scheduler::set_steal_first(bool enabled) {
   g_steal_first.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
-bool Scheduler::staging_enabled() {
-  return resolve_flag(g_staging, "MCH_SCHED_STAGING", true);
-}
-
-void Scheduler::set_staging(bool enabled) {
-  g_staging.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 void Scheduler::reset_knobs() {
-  g_nested_scheduling.store(-1, std::memory_order_relaxed);
   g_steal_first.store(-1, std::memory_order_relaxed);
-  g_staging.store(-1, std::memory_order_relaxed);
-}
-
-void Scheduler::note_nested_inline(std::size_t chunks) {
-  static obs::Counter& inline_chunks = obs::counter("sched.nested_inline");
-  inline_chunks.add(static_cast<std::uint64_t>(chunks));
 }
 
 Scheduler::Scheduler(unsigned thread_count)

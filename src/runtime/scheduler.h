@@ -39,20 +39,17 @@
 // the stored exception is rethrown on the submitting thread once the job
 // completes. The scheduler survives throwing jobs and stays usable.
 //
-// Knobs (process-wide, resolved from the environment at first use,
+// Knob (process-wide, resolved from the environment at first use,
 // settable by tests):
 //
-//   MCH_SCHED_NESTED=0       nested parallel constructs fall back to the
-//                            legacy inline loop; the chunks that serialize
-//                            this way are counted in the
-//                            `sched.nested_inline` metric so the loss is
-//                            visible in --metrics output.
 //   MCH_SCHED_STEAL_FIRST=1  workers prefer stealing other workers' tickets
 //                            over their own deque — a steal-heavy schedule
-//                            for shaking out order dependence in tests.
+//                            for shaking out order dependence in tests (the
+//                            determinism suites and the TSan job run under
+//                            it).
 //
-// Metrics: `sched.jobs`, `sched.nested_jobs`, `sched.steals`,
-// `sched.nested_inline` counters and the `sched.queue_depth` histogram
+// Metrics: `sched.jobs`, `sched.nested_jobs`, `sched.steals` counters and
+// the `sched.queue_depth` histogram
 // (jobs in flight, observed at every top-level submission); workers carry
 // `pool.worker.busy` spans. Worker trace/log identities are pool-scoped
 // unique ("worker-<pool>.<index>", globally unique log ids), so processes
@@ -104,8 +101,8 @@ class Scheduler {
   void run(std::size_t chunks, const std::function<void(std::size_t)>& task);
 
   /// True while the calling thread is executing a chunk body (worker or
-  /// submitter helping out). parallel.h uses this to decide between a
-  /// nested job and the inline fallback.
+  /// submitter helping out); run() uses it to place a nested job's tickets
+  /// on the calling worker's own deque.
   static bool in_task();
 
   /// The calling thread's worker index within `this` pool, or -1 when the
@@ -114,28 +111,15 @@ class Scheduler {
   /// worker's own deque; tests use this to pin work onto a worker.
   int current_worker_index() const;
 
-  /// Nested-scheduling knob; default from MCH_SCHED_NESTED (on unless "0").
-  static bool nested_scheduling_enabled();
-  static void set_nested_scheduling(bool enabled);
-
   /// Steal-heavy schedule knob; default from MCH_SCHED_STEAL_FIRST.
   static bool steal_first();
   static void set_steal_first(bool enabled);
 
-  /// Component-staging knob (the legalizer's double-buffered gather-table
-  /// prefetch); default from MCH_SCHED_STAGING (on unless "0").
-  static bool staging_enabled();
-  static void set_staging(bool enabled);
-
-  /// Forgets every set_* override so the next query re-resolves from the
-  /// environment; test teardowns call this instead of guessing defaults
-  /// (sanitizer jobs sweep MCH_SCHED_* across whole test binaries).
+  /// Forgets the set_steal_first override so the next query re-resolves
+  /// from the environment; test teardowns call this instead of guessing
+  /// the default (sanitizer jobs sweep MCH_SCHED_STEAL_FIRST across whole
+  /// test binaries).
   static void reset_knobs();
-
-  /// Accounts `chunks` chunks of a nested parallel construct that ran
-  /// inline on the calling thread (`sched.nested_inline`), so remaining
-  /// serialization shows up in metrics output.
-  static void note_nested_inline(std::size_t chunks);
 
  private:
   struct Job;

@@ -304,18 +304,21 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
   Timer solve_timer;
   lcp::Vector x;
   x.assign(model_.num_variables(), 0.0);
-  legal::MmsimLegalizerOptions solver_options = options_.flow.solver;
-  const lcp::RecoveryOptions recovery =
-      lcp::resolve_recovery_options(solver_options.recovery);
+  // Report the solve in the legalizer's vocabulary so SessionResult::solver
+  // reads the same in both modes; solve_components fills the solve figures.
+  result.solver = legal::MmsimLegalizerStats{};
+  const legal::MmsimLegalizerOptions& solver_options = options_.flow.solver;
   legal::ComponentSolveReport report;
   {
     obs::TraceSpan solve_span("session.solve");
     solve_span.arg("dirty", dirty_ids.size())
         .arg("total", partition_.num_components());
-    report = legal::solve_components(design_, model_, jobs, solver_options,
-                                     recovery, x);
+    report = legal::solve_components(
+        design_, model_, jobs, solver_options,
+        lcp::resolve_recovery_options(solver_options.recovery), x,
+        result.solver);
     solve_span.arg("warm_hits", report.warm_started)
-        .arg("converged", report.converged);
+        .arg("converged", result.solver.converged);
   }
   result.phase.solve += solve_timer.seconds();
 
@@ -332,35 +335,13 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
         x[v] = solution_[prev_model.cell_first_var[info.cell] + info.subrow];
       }
     }
-
-    // Write back every live movable, mirroring the legalizer: multi-row
-    // positions are subcell means, snap-clamped cells stay inside the chip.
-    std::vector<char> clamped;
-    if (!report.clamped_cells.empty()) {
-      clamped.assign(design_.num_cells(), 0);
-      for (const std::size_t c : report.clamped_cells) clamped[c] = 1;
-    }
-    const db::Chip& chip = design_.chip();
-    for (std::size_t c = 0; c < design_.num_cells(); ++c) {
-      db::Cell& cell = design_.cells()[c];
-      if (cell.fixed || cell.erased) continue;
-      double pos = model_.cell_x(x, c);
-      if (!clamped.empty() && clamped[c] != 0)
-        pos = std::clamp(pos, 0.0, std::max(0.0, chip.width() - cell.width));
-      cell.x = pos;
-      cell.y = chip.row_y(base_rows_[c]);
-    }
+    legal::write_back(design_, model_, x, report.clamped_cells);
     solution_ = std::move(x);
     result.phase.reuse += reuse_timer.seconds();
   }
 
-  // Report the solve in the legalizer's vocabulary so SessionResult::solver
-  // reads the same in both modes.
-  result.solver = legal::MmsimLegalizerStats{};
   result.solver.num_variables = model_.num_variables();
   result.solver.num_constraints = model_.qp.num_constraints();
-  result.solver.iterations = report.iterations;
-  result.solver.converged = report.converged;
   result.solver.max_mismatch = model_.max_mismatch(solution_);
   result.solver.theta_used = solver_options.mmsim.theta;
   result.solver.model_seconds = result.phase.model;
@@ -369,14 +350,7 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
   result.solver.num_components = partition_.num_components();
   result.solver.max_component_size = partition_.max_component_size();
   result.solver.mean_component_size = partition_.mean_component_size();
-  result.solver.components_mmsim = report.components_mmsim;
-  result.solver.components_psor = report.components_psor;
-  result.solver.components_lemke = report.components_lemke;
-  result.solver.components_polished = report.components_polished;
-  result.solver.component_iterations = report.component_iterations;
   result.solver.simd_level = linalg::simd_level();
-  result.solver.phase = report.phase;
-  result.solver.recovery = report.recovery;
 
   result.session.components_total = partition_.num_components();
   result.session.components_dirty = dirty_ids.size();

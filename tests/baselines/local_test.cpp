@@ -65,5 +65,22 @@ TEST(LocalLegalizerTest, StatsAccountForEveryCell) {
             design.num_cells());
 }
 
+// A design with more movable area than the chip holds leaves some cells
+// unplaced. The improved variant's refinement must skip them (they hold
+// no span in the occupancy grid) instead of aborting on their release.
+TEST(LocalLegalizerTest, ImprovedSkipsCellsTheBasePassCouldNotPlace) {
+  for (const LocalVariant variant :
+       {LocalVariant::kBase, LocalVariant::kImproved}) {
+    db::Design design = gen::generate_degenerate_design(
+        gen::DegenerateMode::kInfeasibleRowCapacity, 32, 7);
+    LocalLegalizerStats stats;
+    EXPECT_NO_THROW(stats = local_legalize(design, variant));
+    EXPECT_GT(stats.failed_cells, 0u);
+    EXPECT_EQ(stats.direct_placements + stats.window_placements +
+                  stats.failed_cells,
+              design.num_cells());
+  }
+}
+
 }  // namespace
 }  // namespace mch::baselines

@@ -139,17 +139,20 @@ TEST(MmsimLegalizerTest, TieredWarmStartConvergesToColdSolution) {
   // The first pass finds every slot empty; the second starts every
   // component from the final iterate the first one stored.
   lcp::Vector cold_x(model.num_variables(), 0.0);
-  const ComponentSolveReport cold = solve_components(
-      design, model, jobs, options, options.recovery, cold_x);
+  MmsimLegalizerStats cold;
+  const ComponentSolveReport cold_report = solve_components(
+      design, model, jobs, options, options.recovery, cold_x, cold);
   ASSERT_TRUE(cold.converged);
-  EXPECT_EQ(cold.warm_started, 0u);
+  EXPECT_EQ(cold_report.warm_started, 0u);
   lcp::Vector warm_x(model.num_variables(), 0.0);
-  const ComponentSolveReport warm = solve_components(
-      design, model, jobs, options, options.recovery, warm_x);
+  MmsimLegalizerStats warm;
+  const ComponentSolveReport warm_report = solve_components(
+      design, model, jobs, options, options.recovery, warm_x, warm);
   ASSERT_TRUE(warm.converged);
   // Lemke pivots from scratch; every iterative component starts warm.
-  EXPECT_EQ(warm.warm_started, cold.components_mmsim + cold.components_psor);
-  EXPECT_GT(warm.warm_started, 0u);
+  EXPECT_EQ(warm_report.warm_started,
+            cold.components_mmsim + cold.components_psor);
+  EXPECT_GT(warm_report.warm_started, 0u);
 
   // Same tolerance, same fixed point: solutions agree to solver tolerance.
   for (std::size_t v = 0; v < cold_x.size(); ++v)

@@ -167,37 +167,5 @@ TEST(ModelStreamTest, LegalizerPartitionOutMatchesPartitionModel) {
   expect_partitions_identical(out, partition_model(oracle));
 }
 
-// Double-buffered staging must not change a single position: each
-// component's solve depends only on its own sub-problem and workspace slot,
-// so staged and unstaged extraction write back identical bits.
-TEST(ModelStreamTest, StagedExtractionToggleWritesIdenticalPositions) {
-  for (const gen::ScaleVariant variant :
-       {gen::ScaleVariant::kBaseline, gen::ScaleVariant::kObstacleHeavy}) {
-    SCOPED_TRACE(gen::to_string(variant));
-    db::Design staged_design = gen::generate_scale_design(variant, 1500, 23);
-    db::Design unstaged_design = staged_design;
-
-    MmsimLegalizerOptions options;
-    options.staged_extraction = true;
-    const MmsimLegalizerStats on = mmsim_legalize_continuous(
-        staged_design, assign_rows(staged_design), options);
-
-    options.staged_extraction = false;
-    const MmsimLegalizerStats off = mmsim_legalize_continuous(
-        unstaged_design, assign_rows(unstaged_design), options);
-
-    EXPECT_EQ(on.converged, off.converged);
-    EXPECT_EQ(on.num_components, off.num_components);
-    EXPECT_EQ(on.component_iterations, off.component_iterations);
-    ASSERT_EQ(staged_design.num_cells(), unstaged_design.num_cells());
-    for (std::size_t c = 0; c < staged_design.num_cells(); ++c) {
-      EXPECT_EQ(staged_design.cells()[c].x, unstaged_design.cells()[c].x)
-          << "cell " << c;
-      EXPECT_EQ(staged_design.cells()[c].y, unstaged_design.cells()[c].y)
-          << "cell " << c;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mch::legal

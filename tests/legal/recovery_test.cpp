@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "db/legality.h"
 #include "design_families.h"
@@ -15,6 +17,7 @@
 #include "legal/flow.h"
 #include "legal/mmsim_legalizer.h"
 #include "legal/row_assign.h"
+#include "obs/metrics.h"
 
 namespace mch::legal {
 namespace {
@@ -50,23 +53,34 @@ TEST(RecoveryLadderTest, HappyPathLeavesRecoveryUntouched) {
       mmsim_legalize_continuous(design, rows, options);
   EXPECT_TRUE(stats.converged);
   EXPECT_FALSE(stats.recovery.attempted());
-  EXPECT_EQ(stats.recovery.escalations, 0u);
   EXPECT_EQ(stats.recovery.component_ladders, 0u);
+  EXPECT_EQ(stats.recovery.ladder_attempts, 0u);
+  EXPECT_EQ(stats.recovery.extra_iterations, 0u);
   EXPECT_FALSE(stats.recovery.audit_ran);
   EXPECT_TRUE(stats.recovery.failures.empty());
 }
 
-TEST(RecoveryLadderTest, FirstFailureRecoversByWholeSolveEscalation) {
+std::uint64_t solved_on(const char* rung) {
+  return obs::counter("recovery.solved", "rung", rung).value();
+}
+
+// One forced failure: every component's primary attempt fails, and its own
+// ladder accepts the escalated retry, warm from the failed iterate.
+TEST(RecoveryLadderTest, FirstFailureRecoversOnEscalatedRung) {
   db::Design reference_design = small_design(200, 30, 0.6, 11);
   db::Design design = reference_design;
   const RowAssignment rows = assign_rows(design);
   const RowAssignment reference_rows = assign_rows(reference_design);
 
+  const std::uint64_t escalated_before = solved_on("escalated");
   const MmsimLegalizerStats stats =
       mmsim_legalize_continuous(design, rows, forced_failure_options(1));
   EXPECT_TRUE(stats.converged);
-  EXPECT_EQ(stats.recovery.escalations, 1u);
-  EXPECT_EQ(stats.recovery.component_ladders, 0u);
+  ASSERT_GT(stats.num_components, 0u);
+  EXPECT_EQ(solved_on("escalated") - escalated_before, stats.num_components);
+  EXPECT_EQ(stats.recovery.component_ladders, stats.num_components);
+  EXPECT_EQ(stats.recovery.recovered_components, stats.num_components);
+  EXPECT_EQ(stats.recovery.ladder_attempts, 2 * stats.num_components);
   EXPECT_EQ(stats.recovery.clamped_components, 0u);
   EXPECT_GT(stats.recovery.extra_iterations, 0u);
   EXPECT_TRUE(stats.recovery.audit_ran);  // recovery engaged → audited
@@ -76,7 +90,7 @@ TEST(RecoveryLadderTest, FirstFailureRecoversByWholeSolveEscalation) {
   // constraint, so outside_chip spill is legitimate pre-snap.)
   EXPECT_FALSE(stats.recovery.audit_summary.empty());
 
-  // The escalated retry converges to the same optimum (different θ/γ only
+  // The escalated retries converge to the same optimum (different θ/γ only
   // change the trajectory, not the fixed point).
   MmsimLegalizerOptions clean;
   unsetenv("MCH_FORCE_SOLVER_FAILURE");
@@ -86,16 +100,44 @@ TEST(RecoveryLadderTest, FirstFailureRecoversByWholeSolveEscalation) {
         << "cell " << c;
 }
 
+// The monolithic oracle's failure path: the failed monolithic solve is one
+// ladder, and its next rung hands every component to its own ladder with
+// the remaining forced failure.
 TEST(RecoveryLadderTest, SecondFailureDescendsToComponentLadders) {
   db::Design design = small_design(200, 30, 0.6, 11);
   const RowAssignment rows = assign_rows(design);
+  MmsimLegalizerOptions options = forced_failure_options(2);
+  options.partition = PartitionMode::kOff;
+  const std::uint64_t escalated_before = solved_on("escalated");
   const MmsimLegalizerStats stats =
-      mmsim_legalize_continuous(design, rows, forced_failure_options(2));
+      mmsim_legalize_continuous(design, rows, options);
   EXPECT_TRUE(stats.converged);
-  EXPECT_EQ(stats.recovery.escalations, 1u);
   EXPECT_GT(stats.num_components, 0u);  // kOff partitions lazily on descent
+  EXPECT_EQ(solved_on("escalated") - escalated_before, stats.num_components);
+  EXPECT_EQ(stats.recovery.component_ladders, 1 + stats.num_components);
+  EXPECT_EQ(stats.recovery.ladder_attempts, 1 + 2 * stats.num_components);
+  EXPECT_EQ(stats.recovery.recovered_components, 1 + stats.num_components);
+  EXPECT_EQ(stats.recovery.clamped_components, 0u);
+  EXPECT_TRUE(stats.recovery.audit_ran);
+}
+
+TEST(RecoveryLadderTest, SecondFailureDescendsToReferenceRung) {
+  db::Design design = small_design(200, 30, 0.6, 11);
+  const RowAssignment rows = assign_rows(design);
+  // The reference rung re-runs MMSIM unfused, so it exists only when the
+  // primary attempts ran the fused kernels.
+  MmsimLegalizerOptions options = forced_failure_options(2);
+  options.mmsim.fused = true;
+  const std::uint64_t reference_before = solved_on("reference");
+  const MmsimLegalizerStats stats =
+      mmsim_legalize_continuous(design, rows, options);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_GT(stats.num_components, 0u);
+  // Primary and escalated attempts both forced to fail: every ladder
+  // accepts the unfused reference MMSIM.
+  EXPECT_EQ(solved_on("reference") - reference_before, stats.num_components);
   EXPECT_EQ(stats.recovery.component_ladders, stats.num_components);
-  EXPECT_GE(stats.recovery.ladder_attempts, stats.num_components);
+  EXPECT_EQ(stats.recovery.ladder_attempts, 3 * stats.num_components);
   EXPECT_EQ(stats.recovery.clamped_components, 0u);
   EXPECT_TRUE(stats.recovery.audit_ran);
 }
@@ -107,8 +149,7 @@ TEST(RecoveryLadderTest, ExhaustedLadderClampsToSnapPositions) {
   const MmsimLegalizerStats stats =
       mmsim_legalize_continuous(design, rows, forced_failure_options(999));
   EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.recovery.escalations, 1u);
-  EXPECT_GT(stats.recovery.component_ladders, 0u);
+  EXPECT_EQ(stats.recovery.component_ladders, stats.num_components);
   EXPECT_EQ(stats.recovery.clamped_components, stats.num_components);
   EXPECT_GT(stats.recovery.clamped_cells, 0u);
   ASSERT_EQ(stats.recovery.failures.size(), stats.num_components);
@@ -117,7 +158,7 @@ TEST(RecoveryLadderTest, ExhaustedLadderClampsToSnapPositions) {
   // and the clamped cells; the summary is renderable.
   std::size_t recorded_cells = 0;
   for (const SolveFailure& failure : stats.recovery.failures) {
-    EXPECT_NE(failure.component, SolveFailure::kMonolithic);
+    EXPECT_LT(failure.component, stats.num_components);
     EXPECT_GT(failure.attempts, 0u);
     EXPECT_FALSE(failure.cells.empty());
     EXPECT_FALSE(failure.summary().empty());
@@ -152,15 +193,101 @@ TEST(RecoveryLadderTest, GenuineBudgetFailureRecoversWithoutInjection) {
   options.recovery.budget_multiplier = 100000;
   options.recovery.forced_failures = 0;
   unsetenv("MCH_FORCE_SOLVER_FAILURE");
+  const std::uint64_t escalated_before = solved_on("escalated");
   const MmsimLegalizerStats stats =
       mmsim_legalize_continuous(design, rows, options);
   EXPECT_TRUE(stats.converged);
-  EXPECT_EQ(stats.recovery.escalations, 1u);
+  // Only Lemke components (a pivot budget of their own) converge on the
+  // primary rung; every iterative component recovers on the escalated one.
+  const std::size_t iterative =
+      stats.components_mmsim + stats.components_psor;
+  EXPECT_GT(iterative, 0u);
+  EXPECT_EQ(solved_on("escalated") - escalated_before, iterative);
+  EXPECT_EQ(stats.recovery.component_ladders, iterative);
+  EXPECT_EQ(stats.recovery.recovered_components, iterative);
   EXPECT_TRUE(stats.recovery.audit_ran);
 }
 
-// Satellite: each solve driver surfaces converged == false through the
-// stats when recovery is disabled and the budget is one iteration.
+// A genuine budget miss on some components re-solves only those: the
+// components that converge on the primary rung keep the bits of a
+// default-budget run, and each failing one walks its own ladder.
+TEST(RecoveryLadderTest, GenuineFailureResolvesOnlyFailingComponents) {
+  unsetenv("MCH_FORCE_SOLVER_FAILURE");
+  db::Design input = small_design(400, 60, 0.75, 29);
+  const RowAssignment rows = assign_rows(input);
+  ConstraintPartition partition;
+  const LegalizationModel model = build_model(input, rows, {}, &partition);
+  const std::size_t num = partition.num_components();
+  ASSERT_GT(num, 4u);
+
+  // Per-component iteration counts under the default budget, one
+  // single-job solve each.
+  const MmsimLegalizerOptions roomy;
+  lcp::SolverWorkspace workspace;
+  workspace.prepare(num);
+  std::vector<std::size_t> counts(num);
+  for (std::size_t c = 0; c < num; ++c) {
+    const std::vector<ComponentSolveJob> job = {
+        {&partition.component_variables[c],
+         &partition.component_constraints[c], &workspace.slot(c), c}};
+    lcp::Vector x(model.num_variables(), 0.0);
+    MmsimLegalizerStats stats;
+    solve_components(input, model, job, roomy, roomy.recovery, x, stats);
+    ASSERT_TRUE(stats.converged) << "component " << c;
+    counts[c] = stats.iterations;
+  }
+
+  // A budget between the median and the largest count, clear of every
+  // count: the last two iterations of a budget check differently, and a
+  // solve that is due to stop within the next residual-check stride (16
+  // iterations) may stop on the budget's final check instead.
+  std::vector<std::size_t> sorted = counts;
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t budget = 0;
+  for (std::size_t i = sorted.size() - 1; i > sorted.size() / 2; --i) {
+    if (sorted[i] - sorted[i - 1] >= 40) {
+      budget = sorted[i - 1] + 4;
+      break;
+    }
+  }
+  ASSERT_GT(budget, 0u) << "no usable gap between the per-component counts";
+  std::size_t failing = 0;
+  for (const std::size_t count : counts) failing += count > budget ? 1 : 0;
+  ASSERT_GT(failing, 0u);
+  ASSERT_LT(failing, num);
+
+  db::Design reference = input;
+  const MmsimLegalizerStats full =
+      mmsim_legalize_continuous(reference, rows, roomy);
+  ASSERT_TRUE(full.converged);
+
+  db::Design design = input;
+  MmsimLegalizerOptions tight = roomy;
+  tight.mmsim.max_iterations = budget;
+  const MmsimLegalizerStats stats =
+      mmsim_legalize_continuous(design, rows, tight);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_EQ(stats.recovery.component_ladders, failing);
+  EXPECT_EQ(stats.recovery.recovered_components, failing);
+  EXPECT_EQ(stats.recovery.clamped_components, 0u);
+  // Recovered components reach the same optimum to solver tolerance.
+  for (std::size_t c = 0; c < num; ++c) {
+    for (const index_t v : partition.component_variables[c]) {
+      const std::size_t cell = model.variables[v].cell;
+      if (counts[c] > budget)
+        ASSERT_NEAR(design.cells()[cell].x, reference.cells()[cell].x, 1e-2)
+            << "component " << c << " cell " << cell;
+      else
+        ASSERT_EQ(design.cells()[cell].x, reference.cells()[cell].x)
+            << "component " << c << " cell " << cell;
+    }
+  }
+}
+
+// With recovery disabled a one-iteration budget is never retried: the
+// monolithic oracle surfaces converged == false with its iterate, the
+// tiered path clamps every failed component to snap positions and records
+// it as a SolveFailure.
 class SurfacesFailurePerMode
     : public ::testing::TestWithParam<PartitionMode> {};
 
@@ -178,10 +305,29 @@ TEST_P(SurfacesFailurePerMode, OneIterationBudgetSurfacesNonConvergence) {
   const MmsimLegalizerStats stats =
       mmsim_legalize_continuous(design, rows, options);
   EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.iterations, 1u);
-  EXPECT_FALSE(stats.recovery.attempted());
-  // The failure gate still audits the (unconverged) write-back.
+  // The failure gate still audits the write-back.
   EXPECT_TRUE(stats.recovery.audit_ran);
+  if (GetParam() == PartitionMode::kOff) {
+    EXPECT_EQ(stats.iterations, 1u);
+    EXPECT_FALSE(stats.recovery.attempted());
+    return;
+  }
+  ASSERT_GT(stats.num_components, 0u);
+  EXPECT_EQ(stats.recovery.component_ladders, stats.num_components);
+  EXPECT_EQ(stats.recovery.ladder_attempts, stats.num_components);
+  EXPECT_EQ(stats.recovery.clamped_components, stats.num_components);
+  ASSERT_EQ(stats.recovery.failures.size(), stats.num_components);
+  const db::Chip& chip = design.chip();
+  for (const SolveFailure& failure : stats.recovery.failures) {
+    EXPECT_EQ(failure.attempts, 1u);
+    for (const std::size_t c : failure.cells) {
+      const db::Cell& cell = design.cells()[c];
+      EXPECT_DOUBLE_EQ(cell.x, std::clamp(cell.gp_x, 0.0,
+                                          std::max(0.0, chip.width() -
+                                                            cell.width)))
+          << "cell " << c;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, SurfacesFailurePerMode,
@@ -215,7 +361,6 @@ TEST(TallMacrosRegressionTest, Seed19ConvergesWithoutEscalation) {
     options.solver.recovery.forced_failures = 0;
     const FlowResult result = legalize(copy, options);
     EXPECT_TRUE(result.solver.converged) << to_string(mode);
-    EXPECT_EQ(result.solver.recovery.escalations, 0u) << to_string(mode);
     EXPECT_FALSE(result.solver.recovery.attempted()) << to_string(mode);
     EXPECT_FALSE(result.solver.recovery.audit_ran) << to_string(mode);
     EXPECT_GE(result.solver.components_polished, 1u) << to_string(mode);

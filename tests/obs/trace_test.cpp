@@ -9,6 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "gen/generator.h"
+#include "legal/flow.h"
+#include "service/session.h"
+
 namespace mch::obs {
 namespace {
 
@@ -97,7 +101,8 @@ TEST_F(TraceTest, ArgsRoundTripThroughTheRing) {
 TEST_F(TraceTest, ArgsBeyondMaxAreDroppedSilently) {
   {
     TraceSpan span("test.overflow_args");
-    for (int i = 0; i < 10; ++i) span.arg("k", i);
+    for (std::size_t i = 0; i < TraceSpan::kMaxArgs + 5; ++i)
+      span.arg("k", i);
   }
   const std::vector<CollectedEvent> events = collect_trace_events();
   ASSERT_EQ(events.size(), 1u);
@@ -215,6 +220,49 @@ TEST_F(TraceTest, ClearTraceEmptiesBuffersAndResetsStats) {
   EXPECT_EQ(stats.dropped, 0u);
   EXPECT_EQ(stats.buffered, 0u);
   EXPECT_TRUE(collect_trace_events().empty());
+}
+
+/// Every solve.component event in the rings carries the span's full key
+/// set; returns how many there were.
+std::size_t expect_full_component_spans() {
+  static const char* const kKeys[] = {
+      "component", "vars",     "rows",   "solver", "iterations", "checks",
+      "polish",    "polished", "active", "warm",   "rung"};
+  std::size_t spans = 0;
+  for (const CollectedEvent& event : collect_trace_events()) {
+    if (std::strcmp(event.name, "solve.component") != 0) continue;
+    ++spans;
+    std::set<std::string> keys;
+    for (const TraceArg& arg : event.args) keys.insert(arg.key);
+    for (const char* key : kKeys)
+      EXPECT_EQ(keys.count(key), 1u) << "solve.component lacks " << key;
+  }
+  return spans;
+}
+
+// The one-shot legalizer and the session's ECO path share one component
+// driver and so one solve.component span: both must record every key, with
+// none lost to the per-span argument cap.
+TEST_F(TraceTest, SolveComponentSpanCarriesEveryKey) {
+  gen::GeneratorOptions options;
+  options.seed = 5;
+  const db::Design design =
+      gen::generate_random_design(540, 60, 0.7, options);
+
+  db::Design one_shot = design;
+  legal::legalize(one_shot);
+  EXPECT_GT(expect_full_component_spans(), 0u);
+
+  service::LegalizationSession session(design);
+  ASSERT_TRUE(session.full_legalize().legal);
+  clear_trace();
+  std::size_t id = 0;
+  while (session.design().cells()[id].fixed) ++id;
+  const db::Cell& cell = session.design().cells()[id];
+  const service::SessionResult served = session.eco({service::EcoOp::move(
+      id, cell.gp_x + 3.0 * session.design().chip().site_width, cell.gp_y)});
+  ASSERT_TRUE(served.session.incremental);
+  EXPECT_GT(expect_full_component_spans(), 0u);
 }
 
 }  // namespace

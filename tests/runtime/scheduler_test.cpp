@@ -23,9 +23,9 @@
 namespace mch::runtime {
 namespace {
 
-/// Every test leaves the global Runtime serial and the scheduler knobs
+/// Every test leaves the global Runtime serial and the steal-first knob
 /// re-armed from the environment, so suites sharing the binary start from
-/// a known state and MCH_SCHED_* sweeps apply to the whole binary.
+/// a known state and MCH_SCHED_STEAL_FIRST sweeps apply to the whole binary.
 class RuntimeTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -129,7 +129,6 @@ TEST_F(RuntimeTest, ConcurrentTopLevelSubmissionsInterleave) {
 // index exactly once, and the in_task flag survives the nesting.
 TEST_F(RuntimeTest, NestedParallelForSchedulesStealableChildren) {
   Runtime::configure(4);
-  Scheduler::set_nested_scheduling(true);
   EXPECT_FALSE(Scheduler::in_task());
   constexpr std::size_t kOuter = 8, kInner = 100;
   std::vector<std::vector<int>> hits(kOuter,
@@ -160,32 +159,6 @@ TEST_F(RuntimeTest, NestedParallelForSchedulesStealableChildren) {
   EXPECT_FALSE(Scheduler::in_task());
   EXPECT_EQ(obs::counter("sched.nested_jobs").value() - nested_jobs_before,
             static_cast<std::uint64_t>(kOuter));
-}
-
-// With MCH_SCHED_NESTED=0 the legacy inline fallback runs — and every
-// chunk it serializes is accounted in sched.nested_inline.
-TEST_F(RuntimeTest, NestedInlineFallbackIsCounted) {
-  Runtime::configure(4);
-  Scheduler::set_nested_scheduling(false);
-  constexpr std::size_t kOuter = 4, kInner = 40, kGrain = 10;
-  std::vector<std::vector<int>> hits(kOuter,
-                                     std::vector<int>(kInner, 0));
-  const std::uint64_t inline_before =
-      obs::counter("sched.nested_inline").value();
-  parallel_for(std::size_t{0}, kOuter, 1,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t o = lo; o < hi; ++o)
-                   parallel_for(std::size_t{0}, kInner, kGrain,
-                                [&, o](std::size_t ilo, std::size_t ihi) {
-                                  for (std::size_t i = ilo; i < ihi; ++i)
-                                    ++hits[o][i];
-                                });
-               });
-  for (std::size_t o = 0; o < kOuter; ++o)
-    for (std::size_t i = 0; i < kInner; ++i)
-      ASSERT_EQ(hits[o][i], 1) << "outer " << o << " inner " << i;
-  EXPECT_EQ(obs::counter("sched.nested_inline").value() - inline_before,
-            kOuter * chunk_count(kInner, kGrain));
 }
 
 TEST_F(RuntimeTest, ExceptionPropagatesAndPoolSurvives) {

@@ -222,6 +222,30 @@ TEST(SessionTest, WarmStartHitsOnRepeatedRegion) {
   }
 }
 
+// Ladder attempts count only ladders that went past the primary rung, so
+// an incremental request whose dirty components all converge first time
+// reports no recovery activity at all.
+TEST(SessionTest, ConvergedEcoReportsNoLadderAttempts) {
+  // The contract is about the unforced solve; shield it from the .recovery
+  // variant's fault injection.
+  unsetenv("MCH_FORCE_SOLVER_FAILURE");
+  db::Design design = random_design(3000, 27);
+  LegalizationSession session(std::move(design));
+  ASSERT_TRUE(session.full_legalize().legal);
+  session.commit_legal_as_gp();
+  ASSERT_TRUE(session.full_legalize().legal);
+
+  const SessionResult served =
+      session.eco(jitter_moves(session.design(), 6, 79));
+  ASSERT_TRUE(served.session.incremental);
+  EXPECT_GT(served.session.components_dirty, 0u);
+  EXPECT_TRUE(served.solver.converged);
+  EXPECT_FALSE(served.solver.recovery.attempted());
+  EXPECT_EQ(served.solver.recovery.component_ladders, 0u);
+  EXPECT_EQ(served.solver.recovery.ladder_attempts, 0u);
+  EXPECT_EQ(served.solver.recovery.extra_iterations, 0u);
+}
+
 // The resident partition is now streamed out of build_model during
 // run_full (no separate partition_model pass). A burst of incremental ECO
 // requests right after that streamed build must find a usable partition:

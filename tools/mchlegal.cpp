@@ -213,9 +213,9 @@ int main(int argc, char** argv) {
                   result.solver_components_polished);
       if (result.solver_recovery.attempted() || !result.solver_converged) {
         const legal::RecoveryStats& rec = result.solver_recovery;
-        MCH_LOG(kInfo) << "recovery: " << rec.escalations
-                       << " escalation(s), " << rec.component_ladders
-                       << " component ladder(s) (" << rec.ladder_attempts
+        MCH_LOG(kInfo) << "recovery: " << rec.component_ladders
+                       << " ladder(s) past the primary rung ("
+                       << rec.ladder_attempts
                        << " attempts), " << rec.recovered_components
                        << " recovered, " << rec.clamped_components
                        << " clamped component(s) / " << rec.clamped_cells

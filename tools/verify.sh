@@ -140,16 +140,19 @@ elif [[ "$multi_status" != 0 ]]; then
 fi
 
 if [[ "$FAST" == 0 ]]; then
-  echo "== tsan: build scheduler/service suites =="
+  echo "== tsan: build scheduler/service/legalizer suites =="
   # The scheduler's whole job is cross-thread: per-worker deques, stolen
   # tickets, the combined remaining-counter retirement, the epoch/sleepers
   # Dekker handshake. TSan over the scheduler suite (which includes the
   # concurrent-submission regression for the old pool's abort) and the
   # concurrent-clients determinism test is the check that those protocols
-  # are data-race-free, not merely lucky.
+  # are data-race-free, not merely lucky. The legalizer suite joins them:
+  # its one component driver scatters every component's solution into the
+  # shared solution vector from pool workers on every legalize.
   cmake -B build-tsan -S . -DMCH_ENABLE_TSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  TSAN_TARGETS=(runtime_scheduler_test service_scheduler_determinism_test)
+  TSAN_TARGETS=(runtime_scheduler_test service_scheduler_determinism_test
+                legal_mmsim_legalizer_test)
   for t in "${TSAN_TARGETS[@]}"; do
     cmake --build build-tsan -j4 --target "$t"
   done
@@ -164,6 +167,13 @@ if [[ "$FAST" == 0 ]]; then
   # overlap of distinct sessions on shared workers, not the thread sweep.
   MCH_THREADS=4 "$det_bin" --gtest_brief=1 \
     --gtest_filter='*ConcurrentClientsBitwiseStable*'
+  # The one-shot purity, tiered and design-family cases: every component
+  # solve of a legalize, fanned out over the pool (plain and steal-first).
+  legal_bin="$(find build-tsan/tests -name legal_mmsim_legalizer_test -type f | head -1)"
+  legal_filter='*OneShotHasNoCallHistory*:*Tiered*:*Family*'
+  MCH_THREADS=4 "$legal_bin" --gtest_brief=1 --gtest_filter="$legal_filter"
+  MCH_THREADS=4 MCH_SCHED_STEAL_FIRST=1 "$legal_bin" --gtest_brief=1 \
+    --gtest_filter="$legal_filter"
 
   echo "== asan: build solver/legalizer suites =="
   cmake -B build-asan -S . -DMCH_ENABLE_ASAN=ON \
