@@ -3,6 +3,8 @@
 // paths agree — the pattern for distributing reproducible instances.
 //
 //   ./save_and_reload [benchmark-name] [path]
+//
+// The path defaults to <benchmark-name>.mchdesign in the working directory.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -15,8 +17,7 @@
 int main(int argc, char** argv) {
   using namespace mch;
   const std::string name = argc > 1 ? argv[1] : "fft_a";
-  const std::string path =
-      argc > 2 ? argv[2] : ("/tmp/" + name + ".mchdesign");
+  const std::string path = argc > 2 ? argv[2] : name + ".mchdesign";
 
   gen::GeneratorOptions options;
   options.scale = 0.05;

@@ -2,8 +2,8 @@
 //
 // LCP(q, A): find w, z with  w = A z + q >= 0,  z >= 0,  zᵀw = 0.
 //
-// The dense form is used by the reference solvers (Lemke, PSOR) that
-// cross-validate the structured MMSIM solver on small instances; production
+// The dense form is used by the reference solver (Lemke) that
+// cross-validates the structured MMSIM solver on small instances; production
 // solves never materialize A densely.
 #pragma once
 

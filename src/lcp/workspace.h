@@ -5,11 +5,10 @@
 // iteration buffers per component per call puts the allocator on the hot
 // path; the arena instead keeps one Slot per component slot index alive
 // across solves (and across outer calls), so steady-state solves allocate
-// nothing inside the solve loop — reset_state()/solve_psor_in() only
-// reuse capacity.
+// nothing inside the solve loop — reset_state() only reuses capacity.
 //
 // A Slot also carries the previous solve's final iterate for that slot
-// (MMSIM's splitting vector s, PSOR's z). A warm-started solve starts from
+// (MMSIM's splitting vector s). A warm-started solve starts from
 // it when the shapes still match; warm starts change only the iteration
 // count, never the fixed point. One-shot legalize calls drop every payload
 // on entry (forget_warm_starts), so only solves inside one call — the
@@ -36,9 +35,8 @@ class SolverWorkspace {
   struct Slot {
     MmsimSolver::State state;  ///< MMSIM buffers; capacity kept across solves
     Vector warm_s;             ///< previous MMSIM final s (empty = cold)
-    Vector psor_z;             ///< PSOR iterate buffer / warm start
-    /// Shape of warm_s / psor_z when they were stored; a later solve only
-    /// warm-starts when its own (n, m) matches.
+    /// Shape of warm_s when it was stored; a later solve only warm-starts
+    /// when its own (n, m) matches.
     std::size_t warm_variables = 0;
     std::size_t warm_constraints = 0;
 
@@ -46,7 +44,7 @@ class SolverWorkspace {
     /// shape (n, m) — i.e. a warm-started solve would actually start warm.
     bool has_warm(std::size_t n, std::size_t m) const {
       return warm_variables == n && warm_constraints == m &&
-             (warm_s.size() == n + m || (m == 0 && psor_z.size() == n));
+             warm_s.size() == n + m;
     }
   };
 
@@ -64,7 +62,6 @@ class SolverWorkspace {
   void forget_warm_starts() {
     for (Slot& slot : slots_) {
       slot.warm_s.clear();
-      slot.psor_z.clear();
       slot.warm_variables = 0;
       slot.warm_constraints = 0;
     }

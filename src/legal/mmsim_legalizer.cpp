@@ -60,27 +60,13 @@ lcp::MmsimResult solve_monolithic(const LegalizationModel& model,
   return result;
 }
 
-lcp::LcpSolverKind pick_solver(std::size_t num_variables,
-                               std::size_t num_constraints,
-                               const SolverPolicy& policy) {
-  const std::size_t size = num_variables + num_constraints;
-  if (policy.psor_for_unconstrained && num_constraints == 0)
-    return lcp::LcpSolverKind::kPsor;
-  if (policy.lemke_max_size > 0 && size <= policy.lemke_max_size)
-    return lcp::LcpSolverKind::kLemke;
-  return lcp::LcpSolverKind::kMmsim;
-}
-
-/// Solver configuration of one component: the MMSIM options, the
-/// component's Schur coupling breaks, and a PSOR stopping rule matched to
-/// MMSIM's so the tiers agree on accuracy.
+/// Solver configuration of one component: the MMSIM options and the
+/// component's Schur coupling breaks.
 lcp::LcpSolverConfig component_config(const lcp::MmsimOptions& mmsim_options,
                                       const ComponentProblem& component) {
   lcp::LcpSolverConfig config;
   config.mmsim = mmsim_options;
   config.schur_coupling_breaks = &component.schur_coupling_breaks;
-  config.psor.tolerance = mmsim_options.tolerance;
-  config.psor.max_iterations = mmsim_options.max_iterations;
   return config;
 }
 
@@ -108,7 +94,6 @@ ComponentSolveReport solve_components(const db::Design& design,
     return a < b;
   });
 
-  std::vector<lcp::LcpSolverKind> kinds(num);
   std::vector<lcp::RecoveredSolve> recovered(num);
   parallel_for(std::size_t{0}, num, kGrainComponents, [&](std::size_t lo,
                                                           std::size_t hi) {
@@ -123,24 +108,22 @@ ComponentSolveReport solve_components(const db::Design& design,
             .arg("rows", rows.size());
         return model.component_problem(vars, rows);
       }();
-      kinds[j] = pick_solver(vars.size(), rows.size(), options.policy);
       obs::TraceSpan span("solve.component");
       span.arg("component", jobs[j].component_id)
           .arg("vars", vars.size())
-          .arg("rows", rows.size())
-          .arg("solver", lcp::to_string(kinds[j]));
+          .arg("rows", rows.size());
       // Distinct jobs hold distinct slots (the caller's contract), so the
       // parallel solves never share one.
       recovered[j] = lcp::solve_with_recovery(
-          kinds[j], component.qp, component_config(options.mmsim, component),
-          recovery, jobs[j].slot, /*warm_start=*/true);
-      const lcp::LcpSolveResult& result = recovered[j].result;
+          component.qp, component_config(options.mmsim, component), recovery,
+          jobs[j].slot, /*warm_start=*/true);
+      const lcp::MmsimResult& result = recovered[j].result;
       span.arg("iterations", result.iterations)
           .arg("checks", result.residual_checks)
           .arg("polish", result.polish_attempts)
           .arg("polished", result.polished)
           .arg("active", active_rows(result.dual))
-          .arg("warm", result.warm_started)
+          .arg("warm", recovered[j].warm_started)
           .arg("rung", lcp::to_string(recovered[j].rung));
       if (recovered[j].rung != lcp::RecoveryRung::kExhausted) {
         // Scatter and drop the local solution before the next extraction.
@@ -150,6 +133,7 @@ ComponentSolveReport solve_components(const db::Design& design,
           x[vars[v]] = result.x[v];
         recovered[j].result.x = Vector();
         recovered[j].result.dual = Vector();
+        recovered[j].result.z = Vector();
       }
     }
   });
@@ -158,7 +142,7 @@ ComponentSolveReport solve_components(const db::Design& design,
   ComponentSolveReport report;
   stats.iterations = 0;
   stats.converged = true;
-  stats.components_mmsim = stats.components_psor = stats.components_lemke = 0;
+  stats.components_mmsim = num;
   stats.components_polished = 0;
   stats.component_iterations = 0;
   RecoveryStats& rs = stats.recovery;
@@ -166,17 +150,6 @@ ComponentSolveReport solve_components(const db::Design& design,
   for (std::size_t j = 0; j < num; ++j) {
     const std::vector<index_t>& vars = *jobs[j].variables;
     const lcp::RecoveredSolve& rec = recovered[j];
-    switch (kinds[j]) {
-      case lcp::LcpSolverKind::kMmsim:
-        ++stats.components_mmsim;
-        break;
-      case lcp::LcpSolverKind::kPsor:
-        ++stats.components_psor;
-        break;
-      case lcp::LcpSolverKind::kLemke:
-        ++stats.components_lemke;
-        break;
-    }
     if (rec.rung != lcp::RecoveryRung::kPrimary) {
       ++rs.component_ladders;
       rs.ladder_attempts += rec.attempts;
@@ -210,7 +183,7 @@ ComponentSolveReport solve_components(const db::Design& design,
       rs.failures.push_back(std::move(failure));
     } else {
       if (rec.rung != lcp::RecoveryRung::kPrimary) ++rs.recovered_components;
-      if (rec.result.warm_started) ++report.warm_started;
+      if (rec.warm_started) ++report.warm_started;
       stats.iterations = std::max(stats.iterations, rec.result.iterations);
       stats.component_iterations += rec.result.iterations;
       if (rec.result.polished) ++stats.components_polished;
@@ -345,7 +318,7 @@ MmsimLegalizerStats mmsim_legalize_continuous(
         solve_monolithic(model, mmsim_options, workspace, stats);
     // Fault injection: the monolithic solve is the first attempt.
     const bool failed = !result.converged || recovery.forced_failures > 0;
-    if (failed && recovery.enabled) {
+    if (failed) {
       // The monolithic system's ladder continues on the decomposition:
       // every component walks its own ladder, degrading exhausted ones to
       // snap clamps.

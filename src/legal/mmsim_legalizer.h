@@ -8,14 +8,15 @@
 // The solve decomposes over the connected components of the constraint
 // graph (legal/partition.h): obstacles break the row chains, and rows that
 // share no tall cell are independent, so real designs fall apart into many
-// small sub-problems. One production path and one oracle:
+// small sub-problems. One solver, one production path and one oracle:
+// every system, whatever its size or shape, is solved by the paper's MMSIM
+// (Theorem 2 gives each a unique optimum), through the two-rung recovery
+// ladder of lcp/solver.h.
 //
-//   * kTiered — the default: per-component solver choice by SolverPolicy
-//               (exact Lemke pivoting for tiny components, PSOR for
-//               constraint-free ones, MMSIM otherwise) with independent
-//               termination — each component stops as soon as *it*
-//               converges, which is where the decomposition's iteration
-//               savings come from. Every component runs through
+//   * kTiered — the default: one MMSIM solve per component with
+//               independent termination — each component stops as soon as
+//               *it* converges, which is where the decomposition's
+//               iteration savings come from. Every component runs through
 //               solve_components, the one component driver the session's
 //               ECO path uses too: a plain parallel_for over the jobs,
 //               largest first, each extracting, solving (through the
@@ -46,25 +47,14 @@ namespace mch::legal {
 
 /// How the legalizer decomposes (or not) the relaxed LCP.
 enum class PartitionMode {
-  kTiered,  ///< per-component solver policy + independent termination
+  kTiered,  ///< per-component MMSIM solves, independent termination
   kOff,     ///< monolithic solve — the oracle
 };
 
 const char* to_string(PartitionMode mode);
 
-/// Per-component solver selection for PartitionMode::kTiered.
-struct SolverPolicy {
-  /// Components whose KKT LCP dimension (n + m) is at most this are solved
-  /// exactly by Lemke pivoting. 0 disables the Lemke tier.
-  std::size_t lemke_max_size = 32;
-  /// Constraint-free components (a lone cell between obstacles) are
-  /// bound-constrained QPs; solve them with PSOR instead of the saddle
-  /// MMSIM machinery.
-  bool psor_for_unconstrained = true;
-};
-
-/// Machine-readable record of one component that exhausted every rung of
-/// its escalation ladder. The affected cells were clamped to their
+/// Machine-readable record of one component that exhausted both rungs of
+/// its recovery ladder. The affected cells were clamped to their
 /// row-assigned snap positions instead of receiving an unconverged iterate;
 /// downstream consumers decide whether to re-run, reject, or ship with the
 /// documented degradation.
@@ -115,7 +105,6 @@ struct MmsimLegalizerOptions {
   /// monolithic system, so the derived θ* is identical in both modes.
   bool auto_theta = false;
   PartitionMode partition = PartitionMode::kTiered;
-  SolverPolicy policy;       ///< used by PartitionMode::kTiered
   /// Solver scratch arena reused across components and across calls (see
   /// lcp/workspace.h). Not owned; must outlive the call. When null the
   /// legalizer uses a thread-local default arena, so repeated calls from
@@ -123,13 +112,9 @@ struct MmsimLegalizerOptions {
   /// arena's warm-start payloads on entry: the arena is for buffer reuse,
   /// and every solve of a call starts cold.
   lcp::SolverWorkspace* workspace = nullptr;
-  /// Non-convergence escalation ladder (see lcp/solver.h), walked per
-  /// component. forced_failures is additionally resolved from
-  /// MCH_FORCE_SOLVER_FAILURE for the fault-injection ctest variant. With
-  /// recovery disabled a failed solve is not retried: kTiered clamps the
-  /// failed components to snap positions (with SolveFailure records), kOff
-  /// writes back the unconverged monolithic iterate (tests of the
-  /// surfacing path only).
+  /// Fault injection into the per-component recovery ladder (see
+  /// lcp/solver.h). forced_failures is additionally resolved from
+  /// MCH_FORCE_SOLVER_FAILURE for the fault-injection ctest variant.
   lcp::RecoveryOptions recovery;
   /// Absolute tolerance of the post-recovery legality audit. The audited
   /// result is continuous (pre-snap), so the tolerance must absorb solver
@@ -176,14 +161,16 @@ struct MmsimLegalizerStats {
   std::size_t num_components = 0;
   std::size_t max_component_size = 0;    ///< largest per-component n + m
   double mean_component_size = 0.0;
-  std::size_t components_mmsim = 0;      ///< components solved by MMSIM
-  std::size_t components_psor = 0;       ///< ... by PSOR
-  std::size_t components_lemke = 0;      ///< ... by Lemke
+  std::size_t components_mmsim = 0;      ///< components solved (all MMSIM)
+  /// Always 0: MMSIM is the only production solver. Kept because reports
+  /// (the perfbench per-layer table) still read them.
+  std::size_t components_psor = 0;
+  std::size_t components_lemke = 0;
   /// MMSIM systems whose accepted solve stopped on an active-set polish
   /// (lcp::MmsimSolver::try_polish). Under kOff the monolithic system
   /// counts as one.
   std::size_t components_polished = 0;
-  /// Total iterations (or Lemke pivots) summed over components. Under
+  /// Total MMSIM iterations summed over components. Under
   /// kTiered this is the decomposition's headline saving: components stop
   /// independently instead of all running to the slowest one's count.
   std::size_t component_iterations = 0;
@@ -233,9 +220,9 @@ struct ComponentSolveReport {
 };
 
 /// The one component driver: solves an explicit set of components of
-/// `model` — each through the tiered solver policy and the per-component
-/// escalation ladder — and scatters every primal solution into the global
-/// vector `x` (entries of other components are left untouched). Jobs run
+/// `model` — each by MMSIM through the per-component recovery ladder — and
+/// scatters every primal solution into the global vector `x` (entries of
+/// other components are left untouched). Jobs run
 /// as a plain parallel_for, largest first; each extracts, solves, scatters
 /// and releases its sub-problem inside its worker, so at most one
 /// extraction per pool thread is live at a time. Each slot warm-starts its
@@ -244,7 +231,7 @@ struct ComponentSolveReport {
 /// disjoint variable sets.
 ///
 /// Writes this call's figures into `stats` — iterations (the maximum over
-/// jobs: the critical path), converged, the per-solver component counts,
+/// jobs: the critical path), converged, the component counts,
 /// components_polished and component_iterations — and adds its phase times
 /// and ladder activity to what `stats.phase` / `stats.recovery` already
 /// hold. The one-shot legalizer runs every component through it; the

@@ -9,8 +9,9 @@
 //   hits.add(1);
 //
 // Counter families use a label convention baked into the name:
-// "recovery.rung{rung=psor}". metrics_json() renders one top-level entry
-// per full name; tools/trace_summary.py groups families by the base name.
+// "recovery.solved{rung=escalated}". metrics_json() renders one top-level
+// entry per full name; tools/trace_summary.py groups families by the base
+// name.
 //
 // Histograms bucket by log2 of the value scaled to integer "ticks"
 // (value * 1e9, so seconds become nanoseconds): bucket = bit_width(ticks),
@@ -112,7 +113,7 @@ class Histogram {
 /// Look up (creating on first use) the instrument named `name`. The
 /// returned reference is stable for the process lifetime. Names should be
 /// lowercase dotted paths, with optional {key=value} labels:
-/// "session.eco.latency_seconds", "recovery.rung{rung=lemke}".
+/// "session.eco.latency_seconds", "recovery.solved{rung=escalated}".
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);

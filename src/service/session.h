@@ -157,8 +157,8 @@ struct SessionResult {
 
 struct SessionOptions {
   /// Solver configuration used by full solves; the model λ, MMSIM
-  /// parameters, tiered policy, and recovery ladder also govern the
-  /// incremental component solves. The workspace/prebuilt_model/…
+  /// parameters and recovery fault injection also govern the incremental
+  /// component solves. The workspace/prebuilt_model/…
   /// session hooks inside are overwritten by the session itself.
   legal::FlowOptions flow;
   /// Mode used by requests that ask for kAuto.

@@ -1,6 +1,7 @@
-// Tests of the pluggable LcpSolver layer: the factory, the three adapters
-// agreeing on solutions, structural guards, and the Schur coupling-break
-// mask used by sub-problems extracted from a larger system.
+// Tests of the per-component solve layer: MMSIM through solve_with_recovery
+// against the Lemke oracle, the Schur coupling-break mask used by
+// sub-problems extracted from a larger system, and the two-rung recovery
+// ladder (primary, escalated retry, exhausted).
 #include "lcp/solver.h"
 
 #include <gtest/gtest.h>
@@ -8,8 +9,9 @@
 #include <cstddef>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
-#include "util/check.h"
+#include "lcp/lemke.h"
 
 namespace mch::lcp {
 namespace {
@@ -50,38 +52,13 @@ StructuredQp unconstrained_qp() {
   return qp;
 }
 
-TEST(LcpSolverTest, FactoryReturnsRequestedKind) {
-  const StructuredQp qp = chain_qp();
-  EXPECT_EQ(make_lcp_solver(LcpSolverKind::kMmsim, qp)->kind(),
-            LcpSolverKind::kMmsim);
-  EXPECT_EQ(make_lcp_solver(LcpSolverKind::kLemke, qp)->kind(),
-            LcpSolverKind::kLemke);
-  const StructuredQp free_qp = unconstrained_qp();
-  EXPECT_EQ(make_lcp_solver(LcpSolverKind::kPsor, free_qp)->kind(),
-            LcpSolverKind::kPsor);
-}
-
-TEST(LcpSolverTest, ToStringNames) {
-  EXPECT_STREQ(to_string(LcpSolverKind::kMmsim), "mmsim");
-  EXPECT_STREQ(to_string(LcpSolverKind::kPsor), "psor");
-  EXPECT_STREQ(to_string(LcpSolverKind::kLemke), "lemke");
-}
-
-TEST(LcpSolverTest, MmsimAdapterMatchesDirectSolver) {
-  const StructuredQp qp = chain_qp();
-  LcpSolverConfig config;
-  const LcpSolveResult adapted =
-      make_lcp_solver(LcpSolverKind::kMmsim, qp, config)->solve();
-  const MmsimResult direct = MmsimSolver(qp, config.mmsim).solve();
-  EXPECT_TRUE(adapted.converged);
-  EXPECT_EQ(adapted.iterations, direct.iterations);
-  EXPECT_EQ(adapted.residual_checks, direct.residual_checks);
-  ASSERT_EQ(adapted.x.size(), direct.x.size());
-  for (std::size_t i = 0; i < adapted.x.size(); ++i)
-    EXPECT_EQ(adapted.x[i], direct.x[i]) << "x[" << i << "]";
-  ASSERT_EQ(adapted.dual.size(), direct.dual.size());
-  for (std::size_t i = 0; i < adapted.dual.size(); ++i)
-    EXPECT_EQ(adapted.dual[i], direct.dual[i]) << "dual[" << i << "]";
+/// The Lemke oracle's primal solution of the QP's KKT LCP.
+Vector lemke_x(const StructuredQp& qp) {
+  const LemkeResult lemke = solve_lemke(qp.to_dense_lcp());
+  EXPECT_EQ(lemke.status, LemkeStatus::kSolved);
+  return Vector(lemke.z.begin(),
+                lemke.z.begin() +
+                    static_cast<std::ptrdiff_t>(qp.num_variables()));
 }
 
 TEST(LcpSolverTest, LemkeAgreesWithMmsim) {
@@ -89,35 +66,30 @@ TEST(LcpSolverTest, LemkeAgreesWithMmsim) {
   LcpSolverConfig config;
   config.mmsim.tolerance = 1e-10;
   config.mmsim.residual_tolerance = 1e-9;
-  const LcpSolveResult lemke =
-      make_lcp_solver(LcpSolverKind::kLemke, qp, config)->solve();
-  const LcpSolveResult mmsim =
-      make_lcp_solver(LcpSolverKind::kMmsim, qp, config)->solve();
-  ASSERT_TRUE(lemke.converged);
-  ASSERT_TRUE(mmsim.converged);
-  ASSERT_EQ(lemke.x.size(), mmsim.x.size());
-  for (std::size_t i = 0; i < lemke.x.size(); ++i)
-    EXPECT_NEAR(lemke.x[i], mmsim.x[i], 1e-6) << "x[" << i << "]";
+  const Vector lemke = lemke_x(qp);
+  const RecoveredSolve mmsim = solve_with_recovery(qp, config, {});
+  ASSERT_EQ(mmsim.rung, RecoveryRung::kPrimary);
+  ASSERT_TRUE(mmsim.result.converged);
+  ASSERT_EQ(lemke.size(), mmsim.result.x.size());
+  for (std::size_t i = 0; i < lemke.size(); ++i)
+    EXPECT_NEAR(lemke[i], mmsim.result.x[i], 1e-6) << "x[" << i << "]";
   // The spread forced by the widths: feasibility B x ≥ b holds exactly for
   // the pivoting solver.
-  EXPECT_GE(lemke.x[1] - lemke.x[0], qp.b[0] - 1e-12);
-  EXPECT_GE(lemke.x[2] - lemke.x[1], qp.b[1] - 1e-12);
+  EXPECT_GE(lemke[1] - lemke[0], qp.b[0] - 1e-12);
+  EXPECT_GE(lemke[2] - lemke[1], qp.b[1] - 1e-12);
 }
 
-TEST(LcpSolverTest, PsorSolvesUnconstrainedQp) {
+// A constraint-free component (a cell alone between obstacles) is a
+// bound-constrained QP; MMSIM solves it with an empty dual block.
+TEST(LcpSolverTest, MmsimSolvesUnconstrainedQp) {
   const StructuredQp qp = unconstrained_qp();
-  const LcpSolveResult result =
-      make_lcp_solver(LcpSolverKind::kPsor, qp)->solve();
-  ASSERT_TRUE(result.converged);
-  ASSERT_EQ(result.x.size(), 2u);
-  EXPECT_NEAR(result.x[0], 3.0, 1e-8);
-  EXPECT_NEAR(result.x[1], 0.0, 1e-8);
-  EXPECT_TRUE(result.dual.empty());
-}
-
-TEST(LcpSolverTest, PsorRejectsConstrainedQp) {
-  const StructuredQp qp = chain_qp();
-  EXPECT_THROW(make_lcp_solver(LcpSolverKind::kPsor, qp), CheckError);
+  const RecoveredSolve solved = solve_with_recovery(qp, {}, {});
+  ASSERT_EQ(solved.rung, RecoveryRung::kPrimary);
+  ASSERT_TRUE(solved.result.converged);
+  ASSERT_EQ(solved.result.x.size(), 2u);
+  EXPECT_NEAR(solved.result.x[0], 3.0, 1e-8);
+  EXPECT_NEAR(solved.result.x[1], 0.0, 1e-8);
+  EXPECT_TRUE(solved.result.dual.empty());
 }
 
 TEST(LcpSolverTest, SchurCouplingBreaksZeroTheTridiagonal) {
@@ -137,141 +109,112 @@ TEST(LcpSolverTest, SchurCouplingBreaksZeroTheTridiagonal) {
   EXPECT_EQ(broken.diag(1), full.diag(1));
 }
 
-TEST(LcpSolverTest, MmsimAdapterHonorsCouplingBreaks) {
+TEST(LcpSolverTest, SolveHonorsCouplingBreaks) {
   const StructuredQp qp = chain_qp();
   const std::vector<bool> breaks = {false, true};
   LcpSolverConfig config;
   config.schur_coupling_breaks = &breaks;
-  // Solver setup must pick up the mask (observable through the weaker
-  // splitting still converging to the same solution).
-  const LcpSolveResult result =
-      make_lcp_solver(LcpSolverKind::kMmsim, qp, config)->solve();
-  const LcpSolveResult reference =
-      make_lcp_solver(LcpSolverKind::kLemke, qp)->solve();
-  ASSERT_TRUE(result.converged);
-  for (std::size_t i = 0; i < result.x.size(); ++i)
-    EXPECT_NEAR(result.x[i], reference.x[i], 1e-3) << "x[" << i << "]";
+  // Solver setup must pick up the mask: the solve iterates exactly as a
+  // direct MmsimSolver given the same mask, and the weaker splitting still
+  // converges to the oracle's solution.
+  const RecoveredSolve result = solve_with_recovery(qp, config, {});
+  const MmsimResult direct = MmsimSolver(qp, config.mmsim, &breaks).solve();
+  ASSERT_TRUE(result.result.converged);
+  EXPECT_EQ(result.result.iterations, direct.iterations);
+  const Vector reference = lemke_x(qp);
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    EXPECT_NEAR(result.result.x[i], reference[i], 1e-3) << "x[" << i << "]";
 }
 
-// --- escalation ladder -----------------------------------------------------
-
-/// Ladder-shape tests pin fused kernels ON so the kReference (unfused) rung
-/// exists regardless of the ambient MCH_FUSED_KERNELS (.fused-off variant):
-/// with an already-unfused primary the ladder rightly skips that rung, which
-/// would shift every attempt count below.
-LcpSolverConfig fused_config() {
-  LcpSolverConfig config;
-  config.mmsim.fused = true;
-  return config;
-}
+// --- recovery ladder -------------------------------------------------------
 
 TEST(RecoveryLadderTest, ConvergedPrimaryIsUntouched) {
   const StructuredQp qp = chain_qp();
-  const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, LcpSolverConfig{}, RecoveryOptions{});
-  const LcpSolveResult direct =
-      make_lcp_solver(LcpSolverKind::kMmsim, qp)->solve();
+  const RecoveredSolve recovered =
+      solve_with_recovery(qp, LcpSolverConfig{}, RecoveryOptions{});
+  const MmsimResult direct = MmsimSolver(qp).solve();
   EXPECT_EQ(recovered.rung, RecoveryRung::kPrimary);
   EXPECT_EQ(recovered.attempts, 1u);
   EXPECT_EQ(recovered.wasted_iterations, 0u);
+  EXPECT_FALSE(recovered.warm_started);
   ASSERT_TRUE(recovered.result.converged);
   // Recovery must not perturb the success path: bitwise-equal result.
+  EXPECT_EQ(recovered.result.iterations, direct.iterations);
+  EXPECT_EQ(recovered.result.residual_checks, direct.residual_checks);
   ASSERT_EQ(recovered.result.x.size(), direct.x.size());
   for (std::size_t i = 0; i < direct.x.size(); ++i)
     EXPECT_EQ(recovered.result.x[i], direct.x[i]) << "x[" << i << "]";
+  ASSERT_EQ(recovered.result.dual.size(), direct.dual.size());
+  for (std::size_t i = 0; i < direct.dual.size(); ++i)
+    EXPECT_EQ(recovered.result.dual[i], direct.dual[i]) << "dual[" << i << "]";
 }
 
 TEST(RecoveryLadderTest, ForcedFailureRecoversAtEscalatedRung) {
   const StructuredQp qp = chain_qp();
   RecoveryOptions recovery;
   recovery.forced_failures = 1;
-  const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, LcpSolverConfig{}, recovery);
+  const RecoveredSolve recovered =
+      solve_with_recovery(qp, LcpSolverConfig{}, recovery);
   EXPECT_EQ(recovered.rung, RecoveryRung::kEscalated);
   EXPECT_EQ(recovered.attempts, 2u);
   EXPECT_GT(recovered.wasted_iterations, 0u);
   ASSERT_TRUE(recovered.result.converged);
-  const LcpSolveResult reference =
-      make_lcp_solver(LcpSolverKind::kLemke, qp)->solve();
-  for (std::size_t i = 0; i < reference.x.size(); ++i)
-    EXPECT_NEAR(recovered.result.x[i], reference.x[i], 1e-3);
+  const Vector reference = lemke_x(qp);
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    EXPECT_NEAR(recovered.result.x[i], reference[i], 1e-3);
 }
 
-TEST(RecoveryLadderTest, LadderFallsBackToReferenceThenLemke) {
+// The escalated retry resumes from the failed iterate the primary attempt
+// stored in the slot, rescaled to the retry's γ, and stores its own final
+// iterate back. Here the primary converged and was failed by injection, so
+// the retry starts at the fixed point and stops within one residual-check
+// stride; a resume that misread the iterate's γ would start elsewhere.
+TEST(RecoveryLadderTest, EscalatedRetryResumesFromTheFailedIterate) {
   const StructuredQp qp = chain_qp();
   RecoveryOptions recovery;
-  recovery.forced_failures = 2;  // primary + escalated forced down
-  RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
-  EXPECT_EQ(recovered.rung, RecoveryRung::kReference);
-  EXPECT_EQ(recovered.attempts, 3u);
-
-  recovery.forced_failures = 3;  // ... + reference: m > 0, so PSOR is
-                                 // skipped and Lemke is the last resort
-  recovered = solve_with_recovery(LcpSolverKind::kMmsim, qp,
-                                  fused_config(), recovery);
-  EXPECT_EQ(recovered.rung, RecoveryRung::kLemke);
-  EXPECT_EQ(recovered.attempts, 4u);
-  ASSERT_TRUE(recovered.result.converged);
-}
-
-TEST(RecoveryLadderTest, PsorRungServesBoundConstrainedQps) {
-  const StructuredQp qp = unconstrained_qp();
-  RecoveryOptions recovery;
-  recovery.forced_failures = 3;  // primary, escalated, reference forced down
+  recovery.forced_failures = 1;
+  SolverWorkspace workspace;
+  workspace.prepare(1);
+  SolverWorkspace::Slot& slot = workspace.slot(0);
   const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
-  EXPECT_EQ(recovered.rung, RecoveryRung::kPsor);
-  ASSERT_TRUE(recovered.result.converged);
-  EXPECT_NEAR(recovered.result.x[0], 3.0, 1e-6);
-  EXPECT_NEAR(recovered.result.x[1], 0.0, 1e-6);
+      qp, LcpSolverConfig{}, recovery, &slot, /*warm_start=*/false);
+  EXPECT_EQ(recovered.rung, RecoveryRung::kEscalated);
+  EXPECT_TRUE(recovered.warm_started);
+  EXPECT_TRUE(slot.has_warm(qp.num_variables(), qp.num_constraints()));
+  EXPECT_LE(recovered.result.iterations, 16u);
+  EXPECT_GT(recovered.wasted_iterations, 16u);
 }
 
 TEST(RecoveryLadderTest, ExhaustedLadderReportsEveryAttempt) {
   const StructuredQp qp = chain_qp();
   RecoveryOptions recovery;
   recovery.forced_failures = 100;
-  const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
+  const RecoveredSolve recovered =
+      solve_with_recovery(qp, LcpSolverConfig{}, recovery);
   EXPECT_EQ(recovered.rung, RecoveryRung::kExhausted);
-  // primary, escalated, reference, Lemke (PSOR skipped: m > 0).
-  EXPECT_EQ(recovered.attempts, 4u);
+  // Primary and escalated: the ladder has two rungs.
+  EXPECT_EQ(recovered.attempts, 2u);
   EXPECT_GT(recovered.wasted_iterations, 0u);
 }
 
-TEST(RecoveryLadderTest, DisabledRecoverySurfacesTheFailure) {
+// A genuine budget miss, not injected: half the iterations the solve needs
+// fail the primary rung, and the ×4 escalated budget, resumed from the
+// failed iterate, converges.
+TEST(RecoveryLadderTest, HalvedIterationBudgetRecoversByEscalation) {
   const StructuredQp qp = chain_qp();
-  RecoveryOptions recovery;
-  recovery.enabled = false;
-  recovery.forced_failures = 1;
-  const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, LcpSolverConfig{}, recovery);
-  EXPECT_EQ(recovered.rung, RecoveryRung::kExhausted);
-  EXPECT_EQ(recovered.attempts, 1u);
-}
-
-TEST(RecoveryLadderTest, ZeroIterationBudgetRecoversByEscalation) {
-  const StructuredQp qp = chain_qp();
+  const MmsimResult full = MmsimSolver(qp).solve();
+  ASSERT_TRUE(full.converged);
+  ASSERT_GE(full.iterations, 4u);
   LcpSolverConfig config;
-  config.mmsim.max_iterations = 1;  // genuine failure, not injected
-  RecoveryOptions recovery;
-  recovery.budget_multiplier = 20000;
-  const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, config, recovery);
+  config.mmsim.max_iterations = full.iterations / 2;
+  const RecoveredSolve recovered =
+      solve_with_recovery(qp, config, RecoveryOptions{});
   EXPECT_EQ(recovered.rung, RecoveryRung::kEscalated);
   ASSERT_TRUE(recovered.result.converged);
-  EXPECT_EQ(recovered.wasted_iterations, 1u);
-}
-
-TEST(RecoveryLadderTest, LadderRespectsSizeGates) {
-  const StructuredQp qp = chain_qp();
-  RecoveryOptions recovery;
-  recovery.forced_failures = 100;
-  recovery.lemke_fallback_max_size = 2;  // below n + m = 5: Lemke gated off
-  const RecoveredSolve recovered = solve_with_recovery(
-      LcpSolverKind::kMmsim, qp, fused_config(), recovery);
-  EXPECT_EQ(recovered.rung, RecoveryRung::kExhausted);
-  EXPECT_EQ(recovered.attempts, 3u);  // primary, escalated, reference only
+  EXPECT_EQ(recovered.wasted_iterations, config.mmsim.max_iterations);
+  const Vector reference = lemke_x(qp);
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    EXPECT_NEAR(recovered.result.x[i], reference[i], 1e-3);
 }
 
 TEST(RecoveryLadderTest, EnvironmentResolvesForcedFailures) {

@@ -1,17 +1,20 @@
 // Partitioner tests: component membership on hand-built designs whose rows
-// are split by obstacles, sub-problem extraction, and the solve-invariance
+// are split by obstacles, sub-problem extraction, the solve-invariance
 // guarantee of the partitioned legalizer (tiered == monolithic to solver
-// tolerance), the last two also swept over the generated design families.
+// tolerance), and MMSIM against the Lemke oracle on small and row-free
+// components, the last three also swept over the generated design families.
 #include "legal/partition.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "design_families.h"
 #include "gen/generator.h"
+#include "lcp/lemke.h"
 #include "legal/mmsim_legalizer.h"
 #include "legal/model.h"
 #include "legal/row_assign.h"
@@ -178,9 +181,8 @@ TEST(PartitionTest, TieredMatchesMonolithicWithinTolerance) {
 
   ASSERT_GT(tiered.num_components, 1u);
   EXPECT_TRUE(tiered.converged);
-  EXPECT_EQ(tiered.components_mmsim + tiered.components_psor +
-                tiered.components_lemke,
-            tiered.num_components);
+  EXPECT_EQ(tiered.components_mmsim, tiered.num_components);
+  EXPECT_EQ(tiered.components_psor + tiered.components_lemke, 0u);
   // Independent termination: small components stop early, so the summed
   // iteration count beats every-component-runs-to-the-global-stop.
   EXPECT_LT(tiered.component_iterations,
@@ -338,9 +340,8 @@ TEST_P(FamilyPartitionTest, TieredMatchesMonolithicWithinTolerance) {
 
   EXPECT_TRUE(off.converged);
   EXPECT_TRUE(tiered.converged);
-  EXPECT_EQ(tiered.components_mmsim + tiered.components_psor +
-                tiered.components_lemke,
-            tiered.num_components);
+  EXPECT_EQ(tiered.components_mmsim, tiered.num_components);
+  EXPECT_EQ(tiered.components_psor + tiered.components_lemke, 0u);
   EXPECT_NEAR(tiered.objective, off.objective,
               1e-6 * (1.0 + std::abs(off.objective)));
   for (std::size_t c = 0; c < mono.num_cells(); ++c) {
@@ -351,6 +352,70 @@ TEST_P(FamilyPartitionTest, TieredMatchesMonolithicWithinTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(Families, FamilyPartitionTest,
                          ::testing::ValuesIn(testing::kDesignFamilies),
+                         testing::FamilyName());
+
+class SmallComponentOracleTest
+    : public ::testing::TestWithParam<testing::DesignFamily> {};
+
+// The shapes once routed away from MMSIM — components of KKT size
+// n + m ≤ 32 (once Lemke's) and components without spacing rows (once
+// PSOR's) — now take the production MMSIM solve through solve_components
+// like every other component, and must match the exact Lemke solution of
+// the same extracted QP: x to 1e-9 where the solve polished, and else to
+// 1e-6 on the scale 1 + ‖x‖∞ that MMSIM's stopping residual is measured
+// on (an unpolished macros component at x ≈ 213 is off by 2.6e-6).
+TEST_P(SmallComponentOracleTest, MmsimMatchesLemkeOnSmallAndRowFreeComponents) {
+  db::Design design = testing::generate(GetParam());
+  const RowAssignment rows = assign_rows(design);
+  ConstraintPartition partition;
+  const LegalizationModel model = build_model(design, rows, {}, &partition);
+  const MmsimLegalizerOptions options;
+  const lcp::RecoveryOptions recovery =
+      lcp::resolve_recovery_options(options.recovery);
+  const std::size_t num = partition.num_components();
+  lcp::SolverWorkspace workspace;
+  workspace.prepare(num);
+  std::size_t checked = 0;
+  for (std::size_t c = 0; c < num; ++c) {
+    const std::vector<index_t>& vars = partition.component_variables[c];
+    const std::vector<index_t>& cons = partition.component_constraints[c];
+    if (!cons.empty() && vars.size() + cons.size() > 32) continue;
+    ++checked;
+    lcp::Vector x(model.num_variables(), 0.0);
+    MmsimLegalizerStats stats;
+    solve_components(design, model, {{&vars, &cons, &workspace.slot(c), c}},
+                     options, recovery, x, stats);
+    ASSERT_TRUE(stats.converged) << "component " << c;
+    const ComponentProblem component = model.component_problem(vars, cons);
+    const lcp::LemkeResult lemke =
+        lcp::solve_lemke(component.qp.to_dense_lcp());
+    ASSERT_EQ(lemke.status, lcp::LemkeStatus::kSolved) << "component " << c;
+    double scale = 1.0;
+    for (std::size_t v = 0; v < vars.size(); ++v)
+      scale = std::max(scale, 1.0 + std::abs(lemke.z[v]));
+    const double tolerance =
+        stats.components_polished == 1 ? 1e-9 : 1e-6 * scale;
+    for (std::size_t v = 0; v < vars.size(); ++v)
+      EXPECT_NEAR(x[vars[v]], lemke.z[v], tolerance)
+          << "component " << c << " variable " << v;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+/// The design families, plus `tall` with 4 macros at seed 19, whose solve
+/// once escalated (see recovery_test.cpp). Macro-free `tall` has no
+/// component of either shape, so the macro variant stands in for it.
+std::vector<testing::DesignFamily> oracle_families() {
+  std::vector<testing::DesignFamily> families;
+  for (const testing::DesignFamily& family : testing::kDesignFamilies)
+    if (std::string(family.name) != "tall") families.push_back(family);
+  families.push_back(
+      {"tall_macros", 300, 30, 0.6, 4, 19, /*triple=*/0.05, /*quad=*/0.03});
+  return families;
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, SmallComponentOracleTest,
+                         ::testing::ValuesIn(oracle_families()),
                          testing::FamilyName());
 
 }  // namespace

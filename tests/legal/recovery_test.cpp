@@ -1,7 +1,9 @@
-// Fault-injection tests of the legalizer's non-convergence escalation
-// ladder: every rung is forced via RecoveryOptions::forced_failures (the
-// same knob the MCH_FORCE_SOLVER_FAILURE .recovery ctest variant sets), and
-// the degenerate-design generator supplies genuinely pathological inputs.
+// Tests of the legalizer's two-rung non-convergence ladder (primary, then
+// one escalated retry): every rung is forced via
+// RecoveryOptions::forced_failures (the same knob the
+// MCH_FORCE_SOLVER_FAILURE .recovery ctest variant sets), genuine budget
+// misses are set up from measured per-component iteration counts, and the
+// degenerate-design generator supplies genuinely pathological inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,9 +46,8 @@ TEST(RecoveryLadderTest, HappyPathLeavesRecoveryUntouched) {
   const RowAssignment rows = assign_rows(design);
   // forced_failures = 0 would let MCH_FORCE_SOLVER_FAILURE leak in under
   // the .recovery variant, which is exactly what this test must not see —
-  // so it disables recovery injection via an explicit no-op ladder instead.
+  // so it clears the variable.
   MmsimLegalizerOptions options;
-  options.recovery.enabled = true;
   options.recovery.forced_failures = 0;
   unsetenv("MCH_FORCE_SOLVER_FAILURE");
   const MmsimLegalizerStats stats =
@@ -121,24 +122,33 @@ TEST(RecoveryLadderTest, SecondFailureDescendsToComponentLadders) {
   EXPECT_TRUE(stats.recovery.audit_ran);
 }
 
-TEST(RecoveryLadderTest, SecondFailureDescendsToReferenceRung) {
+// Two forced failures exhaust every component's ladder: primary and
+// escalated are its only rungs.
+TEST(RecoveryLadderTest, SecondFailureExhaustsTheLadder) {
   db::Design design = small_design(200, 30, 0.6, 11);
   const RowAssignment rows = assign_rows(design);
-  // The reference rung re-runs MMSIM unfused, so it exists only when the
-  // primary attempts ran the fused kernels.
-  MmsimLegalizerOptions options = forced_failure_options(2);
-  options.mmsim.fused = true;
-  const std::uint64_t reference_before = solved_on("reference");
+  const std::uint64_t escalated_before = solved_on("escalated");
   const MmsimLegalizerStats stats =
-      mmsim_legalize_continuous(design, rows, options);
-  EXPECT_TRUE(stats.converged);
-  EXPECT_GT(stats.num_components, 0u);
-  // Primary and escalated attempts both forced to fail: every ladder
-  // accepts the unfused reference MMSIM.
-  EXPECT_EQ(solved_on("reference") - reference_before, stats.num_components);
+      mmsim_legalize_continuous(design, rows, forced_failure_options(2));
+  EXPECT_FALSE(stats.converged);
+  ASSERT_GT(stats.num_components, 0u);
+  EXPECT_EQ(solved_on("escalated") - escalated_before, 0u);
   EXPECT_EQ(stats.recovery.component_ladders, stats.num_components);
-  EXPECT_EQ(stats.recovery.ladder_attempts, 3 * stats.num_components);
-  EXPECT_EQ(stats.recovery.clamped_components, 0u);
+  EXPECT_EQ(stats.recovery.ladder_attempts, 2 * stats.num_components);
+  EXPECT_EQ(stats.recovery.recovered_components, 0u);
+  EXPECT_EQ(stats.recovery.clamped_components, stats.num_components);
+  ASSERT_EQ(stats.recovery.failures.size(), stats.num_components);
+  const db::Chip& chip = design.chip();
+  for (const SolveFailure& failure : stats.recovery.failures) {
+    EXPECT_EQ(failure.attempts, 2u);
+    for (const std::size_t c : failure.cells) {
+      const db::Cell& cell = design.cells()[c];
+      EXPECT_DOUBLE_EQ(cell.x, std::clamp(cell.gp_x, 0.0,
+                                          std::max(0.0, chip.width() -
+                                                            cell.width)))
+          << "cell " << c;
+    }
+  }
   EXPECT_TRUE(stats.recovery.audit_ran);
 }
 
@@ -150,6 +160,7 @@ TEST(RecoveryLadderTest, ExhaustedLadderClampsToSnapPositions) {
       mmsim_legalize_continuous(design, rows, forced_failure_options(999));
   EXPECT_FALSE(stats.converged);
   EXPECT_EQ(stats.recovery.component_ladders, stats.num_components);
+  EXPECT_EQ(stats.recovery.ladder_attempts, 2 * stats.num_components);
   EXPECT_EQ(stats.recovery.clamped_components, stats.num_components);
   EXPECT_GT(stats.recovery.clamped_cells, 0u);
   ASSERT_EQ(stats.recovery.failures.size(), stats.num_components);
@@ -159,7 +170,7 @@ TEST(RecoveryLadderTest, ExhaustedLadderClampsToSnapPositions) {
   std::size_t recorded_cells = 0;
   for (const SolveFailure& failure : stats.recovery.failures) {
     EXPECT_LT(failure.component, stats.num_components);
-    EXPECT_GT(failure.attempts, 0u);
+    EXPECT_EQ(failure.attempts, 2u);
     EXPECT_FALSE(failure.cells.empty());
     EXPECT_FALSE(failure.summary().empty());
     recorded_cells += failure.cells.size();
@@ -185,26 +196,78 @@ TEST(RecoveryLadderTest, ExhaustedLadderClampsToSnapPositions) {
   EXPECT_FALSE(stats.recovery.audit_summary.empty());
 }
 
+/// Per-component iteration counts under the default budget, one
+/// single-job solve_components call each.
+std::vector<std::size_t> component_iterations(
+    const db::Design& design, const LegalizationModel& model,
+    const ConstraintPartition& partition) {
+  const MmsimLegalizerOptions roomy;
+  const std::size_t num = partition.num_components();
+  lcp::SolverWorkspace workspace;
+  workspace.prepare(num);
+  std::vector<std::size_t> counts(num);
+  for (std::size_t c = 0; c < num; ++c) {
+    const std::vector<ComponentSolveJob> job = {
+        {&partition.component_variables[c],
+         &partition.component_constraints[c], &workspace.slot(c), c}};
+    lcp::Vector x(model.num_variables(), 0.0);
+    MmsimLegalizerStats stats;
+    solve_components(design, model, job, roomy, roomy.recovery, x, stats);
+    EXPECT_TRUE(stats.converged) << "component " << c;
+    counts[c] = stats.iterations;
+  }
+  return counts;
+}
+
+/// A primary budget between the median and the largest count, clear of
+/// every count: the last two iterations of a budget check differently, and
+/// a solve that is due to stop within the next residual-check stride (16
+/// iterations) may stop on the budget's final check instead. It is also at
+/// least a quarter of the largest count, so the ×4 escalated budget covers
+/// the whole count of every component that misses it. 0 when the counts
+/// leave no such budget.
+std::size_t budget_between_counts(std::vector<std::size_t> counts) {
+  std::sort(counts.begin(), counts.end());
+  const std::size_t quarter = (counts.back() + 3) / 4;
+  for (std::size_t i = counts.size() - 1; i > counts.size() / 2; --i) {
+    const std::size_t budget = std::max(counts[i - 1] + 4, quarter);
+    if (budget + 36 <= counts[i]) return budget;
+  }
+  return 0;
+}
+
+// A genuine budget miss, not injected: a primary budget of half the
+// smallest measured count fails every component, and the fixed ×4
+// escalated budget, resumed from the failed iterate, converges every one.
 TEST(RecoveryLadderTest, GenuineBudgetFailureRecoversWithoutInjection) {
+  unsetenv("MCH_FORCE_SOLVER_FAILURE");
   db::Design design = small_design(200, 30, 0.7, 17);
   const RowAssignment rows = assign_rows(design);
+  ConstraintPartition partition;
+  const LegalizationModel model = build_model(design, rows, {}, &partition);
+  const std::vector<std::size_t> counts =
+      component_iterations(design, model, partition);
+  const std::size_t num = counts.size();
+  ASSERT_GT(num, 0u);
+  const std::size_t budget =
+      *std::min_element(counts.begin(), counts.end()) / 2;
+  ASSERT_GT(budget, 0u);
+  // The retry's budget covers the whole count of every component.
+  ASSERT_GE(4 * budget, *std::max_element(counts.begin(), counts.end()));
+
   MmsimLegalizerOptions options;
-  options.mmsim.max_iterations = 1;  // genuine non-convergence
-  options.recovery.budget_multiplier = 100000;
+  options.mmsim.max_iterations = budget;
   options.recovery.forced_failures = 0;
-  unsetenv("MCH_FORCE_SOLVER_FAILURE");
   const std::uint64_t escalated_before = solved_on("escalated");
   const MmsimLegalizerStats stats =
       mmsim_legalize_continuous(design, rows, options);
   EXPECT_TRUE(stats.converged);
-  // Only Lemke components (a pivot budget of their own) converge on the
-  // primary rung; every iterative component recovers on the escalated one.
-  const std::size_t iterative =
-      stats.components_mmsim + stats.components_psor;
-  EXPECT_GT(iterative, 0u);
-  EXPECT_EQ(solved_on("escalated") - escalated_before, iterative);
-  EXPECT_EQ(stats.recovery.component_ladders, iterative);
-  EXPECT_EQ(stats.recovery.recovered_components, iterative);
+  EXPECT_EQ(solved_on("escalated") - escalated_before, num);
+  EXPECT_EQ(stats.recovery.component_ladders, num);
+  EXPECT_EQ(stats.recovery.ladder_attempts, 2 * num);
+  EXPECT_EQ(stats.recovery.recovered_components, num);
+  EXPECT_EQ(stats.recovery.extra_iterations, num * budget);
+  EXPECT_EQ(stats.recovery.clamped_components, 0u);
   EXPECT_TRUE(stats.recovery.audit_ran);
 }
 
@@ -220,36 +283,10 @@ TEST(RecoveryLadderTest, GenuineFailureResolvesOnlyFailingComponents) {
   const std::size_t num = partition.num_components();
   ASSERT_GT(num, 4u);
 
-  // Per-component iteration counts under the default budget, one
-  // single-job solve each.
   const MmsimLegalizerOptions roomy;
-  lcp::SolverWorkspace workspace;
-  workspace.prepare(num);
-  std::vector<std::size_t> counts(num);
-  for (std::size_t c = 0; c < num; ++c) {
-    const std::vector<ComponentSolveJob> job = {
-        {&partition.component_variables[c],
-         &partition.component_constraints[c], &workspace.slot(c), c}};
-    lcp::Vector x(model.num_variables(), 0.0);
-    MmsimLegalizerStats stats;
-    solve_components(input, model, job, roomy, roomy.recovery, x, stats);
-    ASSERT_TRUE(stats.converged) << "component " << c;
-    counts[c] = stats.iterations;
-  }
-
-  // A budget between the median and the largest count, clear of every
-  // count: the last two iterations of a budget check differently, and a
-  // solve that is due to stop within the next residual-check stride (16
-  // iterations) may stop on the budget's final check instead.
-  std::vector<std::size_t> sorted = counts;
-  std::sort(sorted.begin(), sorted.end());
-  std::size_t budget = 0;
-  for (std::size_t i = sorted.size() - 1; i > sorted.size() / 2; --i) {
-    if (sorted[i] - sorted[i - 1] >= 40) {
-      budget = sorted[i - 1] + 4;
-      break;
-    }
-  }
+  const std::vector<std::size_t> counts =
+      component_iterations(input, model, partition);
+  const std::size_t budget = budget_between_counts(counts);
   ASSERT_GT(budget, 0u) << "no usable gap between the per-component counts";
   std::size_t failing = 0;
   for (const std::size_t count : counts) failing += count > budget ? 1 : 0;
@@ -283,59 +320,6 @@ TEST(RecoveryLadderTest, GenuineFailureResolvesOnlyFailingComponents) {
     }
   }
 }
-
-// With recovery disabled a one-iteration budget is never retried: the
-// monolithic oracle surfaces converged == false with its iterate, the
-// tiered path clamps every failed component to snap positions and records
-// it as a SolveFailure.
-class SurfacesFailurePerMode
-    : public ::testing::TestWithParam<PartitionMode> {};
-
-TEST_P(SurfacesFailurePerMode, OneIterationBudgetSurfacesNonConvergence) {
-  db::Design design = small_design(150, 20, 0.7, 19);
-  const RowAssignment rows = assign_rows(design);
-  MmsimLegalizerOptions options;
-  options.partition = GetParam();
-  options.mmsim.max_iterations = 1;
-  options.recovery.enabled = false;
-  // Pin every tiered component onto MMSIM so the one-iteration budget is a
-  // guaranteed failure (Lemke's pivot budget is separate and would succeed).
-  options.policy.lemke_max_size = 0;
-  options.policy.psor_for_unconstrained = false;
-  const MmsimLegalizerStats stats =
-      mmsim_legalize_continuous(design, rows, options);
-  EXPECT_FALSE(stats.converged);
-  // The failure gate still audits the write-back.
-  EXPECT_TRUE(stats.recovery.audit_ran);
-  if (GetParam() == PartitionMode::kOff) {
-    EXPECT_EQ(stats.iterations, 1u);
-    EXPECT_FALSE(stats.recovery.attempted());
-    return;
-  }
-  ASSERT_GT(stats.num_components, 0u);
-  EXPECT_EQ(stats.recovery.component_ladders, stats.num_components);
-  EXPECT_EQ(stats.recovery.ladder_attempts, stats.num_components);
-  EXPECT_EQ(stats.recovery.clamped_components, stats.num_components);
-  ASSERT_EQ(stats.recovery.failures.size(), stats.num_components);
-  const db::Chip& chip = design.chip();
-  for (const SolveFailure& failure : stats.recovery.failures) {
-    EXPECT_EQ(failure.attempts, 1u);
-    for (const std::size_t c : failure.cells) {
-      const db::Cell& cell = design.cells()[c];
-      EXPECT_DOUBLE_EQ(cell.x, std::clamp(cell.gp_x, 0.0,
-                                          std::max(0.0, chip.width() -
-                                                            cell.width)))
-          << "cell " << c;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllModes, SurfacesFailurePerMode,
-                         ::testing::Values(PartitionMode::kOff,
-                                           PartitionMode::kTiered),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 // --- degenerate-design generator -------------------------------------------
 

@@ -39,13 +39,6 @@ class TraceTest : public ::testing::Test {
   std::size_t old_capacity_ = 0;
 };
 
-const CollectedEvent* find_event(const std::vector<CollectedEvent>& events,
-                                 const char* name) {
-  for (const CollectedEvent& e : events)
-    if (std::strcmp(e.name, name) == 0) return &e;
-  return nullptr;
-}
-
 TEST_F(TraceTest, NestedSpansRecordChildFirstAndStayContained) {
   {
     TraceSpan parent("test.parent");
@@ -226,8 +219,8 @@ TEST_F(TraceTest, ClearTraceEmptiesBuffersAndResetsStats) {
 /// set; returns how many there were.
 std::size_t expect_full_component_spans() {
   static const char* const kKeys[] = {
-      "component", "vars",     "rows",   "solver", "iterations", "checks",
-      "polish",    "polished", "active", "warm",   "rung"};
+      "component", "vars",   "rows", "iterations", "checks", "polish",
+      "polished",  "active", "warm", "rung"};
   std::size_t spans = 0;
   for (const CollectedEvent& event : collect_trace_events()) {
     if (std::strcmp(event.name, "solve.component") != 0) continue;

@@ -179,7 +179,7 @@ if [[ "$FAST" == 0 ]]; then
   cmake -B build-asan -S . -DMCH_ENABLE_ASAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   ASAN_TARGETS=(
-    lcp_mmsim_test lcp_mmsim_fused_test lcp_solver_test lcp_psor_test
+    lcp_mmsim_test lcp_mmsim_fused_test lcp_solver_test
     lcp_polish_test legal_mmsim_legalizer_test legal_partition_test
     linalg_csr_test
   )
