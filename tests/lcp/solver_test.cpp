@@ -217,6 +217,83 @@ TEST(RecoveryLadderTest, HalvedIterationBudgetRecoversByEscalation) {
     EXPECT_NEAR(recovered.result.x[i], reference[i], 1e-3);
 }
 
+// A genuine miss of both budgets, not injected: one primary iteration and
+// the ×4 escalated budget of four are far short of the solve, so the ladder
+// is exhausted after exactly those five iterations, and the escalated
+// attempt's iterate is still left in the slot.
+TEST(RecoveryLadderTest, OneIterationBudgetExhaustsBothRungs) {
+  const StructuredQp qp = chain_qp();
+  ASSERT_GT(MmsimSolver(qp).solve().iterations, 16u);
+  LcpSolverConfig config;
+  config.mmsim.max_iterations = 1;
+  SolverWorkspace workspace;
+  workspace.prepare(1);
+  SolverWorkspace::Slot& slot = workspace.slot(0);
+  const RecoveredSolve recovered =
+      solve_with_recovery(qp, config, RecoveryOptions{}, &slot);
+  EXPECT_EQ(recovered.rung, RecoveryRung::kExhausted);
+  EXPECT_EQ(recovered.attempts, 2u);
+  EXPECT_EQ(recovered.wasted_iterations, 1u + 4u);
+  EXPECT_TRUE(slot.has_warm(qp.num_variables(), qp.num_constraints()));
+}
+
+// A warm start from the slot's converged payload begins at the fixed point:
+// the primary rung accepts it within one residual-check stride (16
+// iterations) and lands on the cold solve's optimum.
+TEST(RecoveryLadderTest, WarmStartFromTheSolutionStopsWithinOneStride) {
+  const StructuredQp qp = chain_qp();
+  SolverWorkspace workspace;
+  workspace.prepare(1);
+  SolverWorkspace::Slot& slot = workspace.slot(0);
+  const RecoveredSolve cold =
+      solve_with_recovery(qp, LcpSolverConfig{}, RecoveryOptions{}, &slot);
+  ASSERT_EQ(cold.rung, RecoveryRung::kPrimary);
+  EXPECT_FALSE(cold.warm_started);
+  ASSERT_GT(cold.result.iterations, 16u);
+  const RecoveredSolve warm = solve_with_recovery(
+      qp, LcpSolverConfig{}, RecoveryOptions{}, &slot, /*warm_start=*/true);
+  EXPECT_EQ(warm.rung, RecoveryRung::kPrimary);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.attempts, 1u);
+  ASSERT_TRUE(warm.result.converged);
+  EXPECT_LE(warm.result.iterations, 16u);
+  ASSERT_EQ(warm.result.x.size(), cold.result.x.size());
+  for (std::size_t i = 0; i < cold.result.x.size(); ++i)
+    EXPECT_NEAR(warm.result.x[i], cold.result.x[i], 1e-9) << "x[" << i << "]";
+}
+
+// A payload stored by a solve of another shape is not a warm start: the
+// solve runs cold, bitwise identical to a direct MmsimSolver, and replaces
+// the payload with one of its own shape.
+TEST(RecoveryLadderTest, WarmStartOfAnotherShapeRunsCold) {
+  const StructuredQp other = unconstrained_qp();
+  const StructuredQp qp = chain_qp();
+  SolverWorkspace workspace;
+  workspace.prepare(1);
+  SolverWorkspace::Slot& slot = workspace.slot(0);
+  solve_with_recovery(other, LcpSolverConfig{}, RecoveryOptions{}, &slot);
+  ASSERT_TRUE(slot.has_warm(other.num_variables(), other.num_constraints()));
+  const RecoveredSolve recovered = solve_with_recovery(
+      qp, LcpSolverConfig{}, RecoveryOptions{}, &slot, /*warm_start=*/true);
+  const MmsimResult direct = MmsimSolver(qp).solve();
+  EXPECT_EQ(recovered.rung, RecoveryRung::kPrimary);
+  EXPECT_FALSE(recovered.warm_started);
+  EXPECT_EQ(recovered.result.iterations, direct.iterations);
+  ASSERT_EQ(recovered.result.x.size(), direct.x.size());
+  for (std::size_t i = 0; i < direct.x.size(); ++i)
+    EXPECT_EQ(recovered.result.x[i], direct.x[i]) << "x[" << i << "]";
+  EXPECT_TRUE(slot.has_warm(qp.num_variables(), qp.num_constraints()));
+  EXPECT_FALSE(slot.has_warm(other.num_variables(), other.num_constraints()));
+}
+
+// The rung names label the recovery.attempts / recovery.solved counters
+// that the metrics snapshot exports and the legalizer tests read.
+TEST(RecoveryLadderTest, RungNames) {
+  EXPECT_STREQ(to_string(RecoveryRung::kPrimary), "primary");
+  EXPECT_STREQ(to_string(RecoveryRung::kEscalated), "escalated");
+  EXPECT_STREQ(to_string(RecoveryRung::kExhausted), "exhausted");
+}
+
 TEST(RecoveryLadderTest, EnvironmentResolvesForcedFailures) {
   const char* saved = std::getenv("MCH_FORCE_SOLVER_FAILURE");
   const std::string saved_value = saved ? saved : "";

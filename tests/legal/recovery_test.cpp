@@ -321,6 +321,58 @@ TEST(RecoveryLadderTest, GenuineFailureResolvesOnlyFailingComponents) {
   }
 }
 
+// A one-iteration primary budget, not injected: the ×4 escalated retry gets
+// four iterations, so both rungs miss on every component and the failure
+// surfaces in either mode. The tiered path clamps every component to its
+// snap positions and records it as a SolveFailure; the monolithic oracle's
+// failed first attempt continues on the decomposition and ends the same
+// way, one extra ladder attempt up front.
+class SurfacesFailurePerMode
+    : public ::testing::TestWithParam<PartitionMode> {};
+
+TEST_P(SurfacesFailurePerMode, OneIterationBudgetSurfacesNonConvergence) {
+  unsetenv("MCH_FORCE_SOLVER_FAILURE");
+  db::Design design = small_design(150, 20, 0.7, 19);
+  const RowAssignment rows = assign_rows(design);
+  MmsimLegalizerOptions options;
+  options.partition = GetParam();
+  options.mmsim.max_iterations = 1;
+  options.recovery.forced_failures = 0;
+  const std::uint64_t escalated_before = solved_on("escalated");
+  const MmsimLegalizerStats stats =
+      mmsim_legalize_continuous(design, rows, options);
+  EXPECT_FALSE(stats.converged);
+  // The failure gate still audits the write-back.
+  EXPECT_TRUE(stats.recovery.audit_ran);
+  const std::size_t num = stats.num_components;
+  ASSERT_GT(num, 0u);
+  const std::size_t monolithic = GetParam() == PartitionMode::kOff ? 1 : 0;
+  EXPECT_EQ(solved_on("escalated") - escalated_before, 0u);
+  EXPECT_EQ(stats.recovery.component_ladders, monolithic + num);
+  EXPECT_EQ(stats.recovery.ladder_attempts, monolithic + 2 * num);
+  EXPECT_EQ(stats.recovery.recovered_components, 0u);
+  EXPECT_EQ(stats.recovery.clamped_components, num);
+  ASSERT_EQ(stats.recovery.failures.size(), num);
+  const db::Chip& chip = design.chip();
+  for (const SolveFailure& failure : stats.recovery.failures) {
+    EXPECT_EQ(failure.attempts, 2u);
+    for (const std::size_t c : failure.cells) {
+      const db::Cell& cell = design.cells()[c];
+      EXPECT_DOUBLE_EQ(cell.x, std::clamp(cell.gp_x, 0.0,
+                                          std::max(0.0, chip.width() -
+                                                            cell.width)))
+          << "cell " << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, SurfacesFailurePerMode,
+                         ::testing::Values(PartitionMode::kOff,
+                                           PartitionMode::kTiered),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
 // --- degenerate-design generator -------------------------------------------
 
 // The `tall` family with fixed macros (ROADMAP.md): triple- and
