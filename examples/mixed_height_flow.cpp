@@ -55,7 +55,8 @@ int main() {
   const legal::LegalizationModel model = legal::build_model(design, rows);
   std::printf("variables (cell:subrow):");
   for (const legal::VariableInfo& v : model.variables)
-    std::printf("  %zu:%zu", v.cell, v.subrow);
+    std::printf("  %zu:%zu", static_cast<std::size_t>(v.cell),
+                static_cast<std::size_t>(v.subrow));
   std::printf("\n\nB (spacing constraints, one row each):\n");
   for (std::size_t r = 0; r < model.qp.num_constraints(); ++r) {
     std::printf("  [");

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <tuple>
 #include <sstream>
 #include <unordered_set>
 
@@ -61,6 +63,54 @@ std::pair<std::size_t, std::size_t> touched_rows(const Chip& chip, double y,
   return {first, end};
 }
 
+/// Rows [first, end) a live cell occupies in the overlap sweep, and whether
+/// a movable cell sits on a row (`row` is then its base row).
+struct SweepRows {
+  std::size_t first = 0;
+  std::size_t end = 0;
+  bool on_row = false;
+  std::size_t row = 0;
+};
+
+SweepRows sweep_rows(const Chip& chip, const Cell& cell, double eps) {
+  const double height =
+      static_cast<double>(cell.height_rows) * chip.row_height;
+  SweepRows rows;
+  // Fixed cells (obstacles) are exempt from alignment and rail rules —
+  // they are immutable input. They still participate in the overlap
+  // sweep, occupying every row their outline touches.
+  if (cell.fixed) {
+    std::tie(rows.first, rows.end) = touched_rows(chip, cell.y, height, eps);
+    return rows;
+  }
+  // (2a) On a row boundary. The vertical-fit comparison must happen in
+  // the double domain: num_rows and height_rows are unsigned, and their
+  // difference wraps for a cell taller than the chip.
+  const double row_round = std::round(cell.y / chip.row_height);
+  rows.on_row = std::abs(cell.y - row_round * chip.row_height) <= eps &&
+                row_round >= 0.0 &&
+                row_round <= static_cast<double>(chip.num_rows) -
+                                 static_cast<double>(cell.height_rows);
+  if (!rows.on_row) {
+    // An off-row cell still physically occupies every row its outline
+    // touches; register it there so the overlap sweep can see collisions
+    // with row-aligned cells instead of silently skipping it.
+    std::tie(rows.first, rows.end) = touched_rows(chip, cell.y, height, eps);
+    return rows;
+  }
+  rows.row = static_cast<std::size_t>(row_round);
+  rows.first = rows.row;
+  rows.end = std::min(rows.row + cell.height_rows, chip.num_rows);
+  return rows;
+}
+
+/// One cell's entry in a row of the overlap sweep.
+struct RowEntry {
+  double x;
+  double width;
+  index_t id;
+};
+
 }  // namespace
 
 LegalityReport check_legality(const Design& design,
@@ -69,8 +119,17 @@ LegalityReport check_legality(const Design& design,
   const Chip& chip = design.chip();
   const double eps = options.tolerance;
 
-  // Per-cell checks, and row occupancy lists for the overlap sweep.
-  std::vector<std::vector<std::size_t>> row_cells(chip.num_rows);
+  // Per-cell checks, counting each row's entries for the overlap sweep.
+  // Each cell's x, width and rows [first, end) go into one compact array
+  // that the fill and the sweep below read instead of the cells.
+  std::vector<std::size_t> row_begin(chip.num_rows + 1, 0);
+  struct CellRows {
+    double x;
+    double width;
+    index_t first;
+    index_t end;
+  };
+  std::vector<CellRows> cell_rows(design.num_cells());
   for (const Cell& cell : design.cells()) {
     // Tombstoned cells occupy nothing and obey no rules.
     if (cell.erased) continue;
@@ -88,37 +147,17 @@ LegalityReport check_legality(const Design& design,
              {ViolationKind::kOutsideChip, cell.id, 0, os.str()});
     }
 
-    // Fixed cells (obstacles) are exempt from alignment and rail rules —
-    // they are immutable input. They still participate in the overlap
-    // sweep, occupying every row their outline touches.
-    if (cell.fixed) {
-      const auto [first_row, end_row] = touched_rows(chip, cell.y, height, eps);
-      for (std::size_t r = first_row; r < end_row; ++r)
-        row_cells[r].push_back(cell.id);
-      continue;
-    }
+    const SweepRows rows = sweep_rows(chip, cell, eps);
+    cell_rows[cell.id] = {cell.x, cell.width, to_index(rows.first),
+                          to_index(rows.end)};
+    for (std::size_t r = rows.first; r < rows.end; ++r) ++row_begin[r + 1];
+    if (cell.fixed) continue;
 
-    // (2a) On a row boundary. The vertical-fit comparison must happen in
-    // the double domain: num_rows and height_rows are unsigned, and their
-    // difference wraps for a cell taller than the chip.
-    const double row_float = cell.y / chip.row_height;
-    const double row_round = std::round(row_float);
-    const bool on_row =
-        std::abs(cell.y - row_round * chip.row_height) <= eps &&
-        row_round >= 0.0 &&
-        row_round <= static_cast<double>(chip.num_rows) -
-                         static_cast<double>(cell.height_rows);
-    if (!on_row) {
+    if (!rows.on_row) {
       ++report.off_row;
       std::ostringstream os;
       os << "cell " << cell.id << " y=" << cell.y << " not on a row";
       record(report, options, {ViolationKind::kOffRow, cell.id, 0, os.str()});
-      // An off-row cell still physically occupies every row its outline
-      // touches; register it there so the overlap sweep can see collisions
-      // with row-aligned cells instead of silently skipping it.
-      const auto [first_row, end_row] = touched_rows(chip, cell.y, height, eps);
-      for (std::size_t r = first_row; r < end_row; ++r)
-        row_cells[r].push_back(cell.id);
     }
 
     // (2b) On a site boundary.
@@ -134,21 +173,26 @@ LegalityReport check_legality(const Design& design,
     }
 
     // (4) Power-rail alignment, only meaningful when the cell is on a row.
-    if (on_row) {
-      const auto row = static_cast<std::size_t>(row_round);
-      if (!cell.rail_compatible(chip, row)) {
-        ++report.rail_mismatches;
-        std::ostringstream os;
-        os << "cell " << cell.id << " (" << to_string(cell.bottom_rail)
-           << "-bottom, height " << cell.height_rows << ") on row " << row
-           << " with " << to_string(chip.rail_at(row)) << " rail";
-        record(report, options,
-               {ViolationKind::kRailMismatch, cell.id, 0, os.str()});
-      }
-      for (std::size_t r = row;
-           r < std::min(row + cell.height_rows, chip.num_rows); ++r)
-        row_cells[r].push_back(cell.id);
+    if (rows.on_row && !cell.rail_compatible(chip, rows.row)) {
+      ++report.rail_mismatches;
+      std::ostringstream os;
+      os << "cell " << cell.id << " (" << to_string(cell.bottom_rail)
+         << "-bottom, height " << cell.height_rows << ") on row " << rows.row
+         << " with " << to_string(chip.rail_at(rows.row)) << " rail";
+      record(report, options,
+             {ViolationKind::kRailMismatch, cell.id, 0, os.str()});
     }
+  }
+
+  // CSR row lists of cell ids: prefix-sum the counts, then fill in id
+  // order from the row ranges kept above.
+  std::partial_sum(row_begin.begin(), row_begin.end(), row_begin.begin());
+  std::vector<index_t> row_ids(row_begin.back());
+  {
+    std::vector<std::size_t> next(row_begin.begin(), row_begin.end() - 1);
+    for (std::size_t c = 0; c < cell_rows.size(); ++c)
+      for (std::size_t r = cell_rows[c].first; r < cell_rows[c].end; ++r)
+        row_ids[next[r]++] = to_index(c);
   }
 
   // (3) Overlaps: per-row sweep over cells sorted by x. A multi-row cell
@@ -157,36 +201,43 @@ LegalityReport check_legality(const Design& design,
   // set keyed on the ordered id pair — violation-heavy designs produce
   // O(cells²) pairs, and a linear scan over a growing pair list would make
   // the checker quadratic in the *violation* count on top of that.
+  // Each row's cells are copied by value into one reused buffer and sorted
+  // there by (x, id) with a direct comparator: one row's buffer stays in
+  // cache, where a whole-design array of entries would not.
   std::unordered_set<std::uint64_t> seen_pairs;
+  std::vector<RowEntry> entries;
   for (std::size_t r = 0; r < chip.num_rows; ++r) {
-    auto& ids = row_cells[r];
-    std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
-      const double xa = design.cells()[a].x;
-      const double xb = design.cells()[b].x;
-      return xa != xb ? xa < xb : a < b;
+    entries.clear();
+    for (std::size_t k = row_begin[r]; k < row_begin[r + 1]; ++k) {
+      const CellRows& cell = cell_rows[row_ids[k]];
+      entries.push_back({cell.x, cell.width, row_ids[k]});
+    }
+    const auto first = entries.begin();
+    const auto last = entries.end();
+    std::sort(first, last, [](const RowEntry& a, const RowEntry& b) {
+      return a.x != b.x ? a.x < b.x : a.id < b.id;
     });
-    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-      const Cell& left = design.cells()[ids[i]];
+    for (auto left = first; left != last; ++left) {
       // A cell can overlap several successors, not just the next one.
-      for (std::size_t j = i + 1; j < ids.size(); ++j) {
-        const Cell& right = design.cells()[ids[j]];
-        const double spill = left.x + left.width - right.x;
-        if (spill <= eps) break;  // sorted by x: no further overlaps with i
+      for (auto right = std::next(left); right != last; ++right) {
+        const double spill = left->x + left->width - right->x;
+        if (spill <= eps) break;  // sorted by x: left overlaps no further
         const std::uint64_t key =
-            (static_cast<std::uint64_t>(std::min(left.id, right.id)) << 32) |
-            static_cast<std::uint64_t>(std::max(left.id, right.id));
+            (static_cast<std::uint64_t>(std::min(left->id, right->id))
+             << 32) |
+            static_cast<std::uint64_t>(std::max(left->id, right->id));
         if (!seen_pairs.insert(key).second) continue;
         // The overlapped extent cannot exceed the right cell's own width (a
         // narrow cell contained inside a wide one overlaps by its width,
         // not by the distance to the wide cell's far edge).
-        const double depth = std::min(spill, right.width);
+        const double depth = std::min(spill, right->width);
         ++report.overlaps;
         report.max_overlap_depth = std::max(report.max_overlap_depth, depth);
         std::ostringstream os;
-        os << "cells " << left.id << " and " << right.id << " overlap by "
+        os << "cells " << left->id << " and " << right->id << " overlap by "
            << depth << " in row " << r;
         record(report, options,
-               {ViolationKind::kOverlap, left.id, right.id, os.str()});
+               {ViolationKind::kOverlap, left->id, right->id, os.str()});
       }
     }
   }

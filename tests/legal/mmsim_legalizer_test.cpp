@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,6 +231,10 @@ struct SingleHeightCase {
   std::uint64_t seed;
 };
 
+// gtest prints a parameter without one as its raw bytes, pointer included,
+// which makes the registered test names differ from build to build.
+void PrintTo(const SingleHeightCase& c, std::ostream* os) { *os << c.name; }
+
 class SingleHeightOracleTest
     : public ::testing::TestWithParam<SingleHeightCase> {};
 
@@ -281,6 +286,17 @@ TEST_P(FamilyOneShotTest, HasNoCallHistory) {
   db::Design fresh = design;
   FlowResult fresh_result;
   std::thread([&] { fresh_result = legalize(fresh); }).join();
+  if (std::string(GetParam().name) == "dense_macros") {
+    // Known defect (ROADMAP.md item 7): the allocation finds no
+    // free position for cell 335, leaving 2 overlaps. Pinned exactly, so
+    // that a fix and a regression both trip this.
+    EXPECT_FALSE(fresh_result.legal);
+    EXPECT_EQ(fresh_result.allocation.unplaced_cells, 1u);
+    EXPECT_EQ(fresh_result.legality.overlaps, 2u);
+    EXPECT_EQ(fresh_result.legality.total_violations, 2u);
+  } else {
+    EXPECT_TRUE(fresh_result.legal) << fresh_result.legality.summary();
+  }
 
   db::Design unrelated = small_design(300, 40, 0.7, 23);
   legalize(unrelated);

@@ -178,10 +178,14 @@ if [[ "$FAST" == 0 ]]; then
   echo "== asan: build solver/legalizer suites =="
   cmake -B build-asan -S . -DMCH_ENABLE_ASAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  # The occupancy, allocation and legality suites ride along: flat sorted
+  # rows and CSR row offsets are index arithmetic that ASan checks.
   ASAN_TARGETS=(
     lcp_mmsim_test lcp_mmsim_fused_test lcp_solver_test
     lcp_polish_test legal_mmsim_legalizer_test legal_partition_test
     linalg_csr_test
+    legal_occupancy_test legal_occupancy_property_test legal_eviction_test
+    legal_tetris_alloc_test db_legality_test legal_alloc_contract_test
   )
   for t in "${ASAN_TARGETS[@]}"; do
     cmake --build build-asan -j4 --target "$t"
