@@ -9,17 +9,15 @@ namespace mch::lcp {
 
 namespace {
 
-/// Rung kEscalated: γ for the retry, the classic modulus choice. The
-/// modulus fixed point is γ-invariant, and so is the trajectory in z once
-/// the iterate s is scaled by the γ ratio.
-constexpr double kEscalatedGamma = 1.0;
 /// Rung kEscalated: iteration budget multiplier of the retry.
 constexpr std::size_t kEscalatedBudgetMultiplier = 4;
 
 /// The rung-kEscalated configuration: θ* re-derived from the Theorem-2
 /// bound for this specific system (the probe is capped at the configured
-/// θ*, so it can only shrink it — see lcp/mmsim.h), γ relaxed, and the
-/// iteration budget multiplied.
+/// θ*, so it can only shrink it — see lcp/mmsim.h) and the iteration
+/// budget multiplied. γ stays the primary's: the z trajectory is
+/// γ-invariant, so a different γ would buy nothing and would force a
+/// rescale of the resumed iterate s = γ(z − w)/2.
 LcpSolverConfig escalate_config(const StructuredQp& qp,
                                 const LcpSolverConfig& config) {
   LcpSolverConfig escalated = config;
@@ -27,7 +25,6 @@ LcpSolverConfig escalate_config(const StructuredQp& qp,
     const MmsimSolver probe(qp, config.mmsim, config.schur_coupling_breaks);
     escalated.mmsim.theta = probe.suggest_theta();
   }
-  escalated.mmsim.gamma = kEscalatedGamma;
   escalated.mmsim.max_iterations =
       config.mmsim.max_iterations * kEscalatedBudgetMultiplier;
   return escalated;
@@ -100,12 +97,8 @@ RecoveredSolve solve_with_recovery(const StructuredQp& qp,
   if (attempt(config, RecoveryRung::kPrimary, warm_start)) return out;
   // The escalated retry warm-starts from the failed iterate the primary
   // attempt left in the slot, so a pure budget exhaustion resumes where it
-  // stopped. The modulus iterate s = γ(z − w)/2 scales with γ, so it is
-  // rescaled to the retry's γ: unscaled, it would stand for a z scaled by
-  // γ_primary/γ_retry, and the retry would restart from that wrong point.
+  // stopped (same γ, so the iterate s = γ(z − w)/2 means the same z).
   const LcpSolverConfig escalated = escalate_config(qp, config);
-  const double rescale = escalated.mmsim.gamma / config.mmsim.gamma;
-  for (double& v : buffers.warm_s) v *= rescale;
   if (attempt(escalated, RecoveryRung::kEscalated, /*warm=*/true)) return out;
 
   out.rung = RecoveryRung::kExhausted;

@@ -10,6 +10,7 @@
 // not fail there.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -65,12 +66,20 @@ class OwnedOccupancy {
   std::vector<std::size_t> blockers(std::size_t base_row, std::size_t height,
                                     SiteIndex site, SiteIndex width) const;
 
-  /// Right edge (exclusive) of the rightmost occupied span in the row, or
-  /// 0 when the row is empty. Lets frontier-based callers re-establish
-  /// their invariant after an eviction reshuffles cells.
+  /// Largest right edge (exclusive) of the row's owned spans, or 0 when
+  /// the row is empty. Lets frontier-based callers re-establish their
+  /// invariant after an eviction reshuffles cells.
   SiteIndex max_end(std::size_t row) const {
+    // Spans with width never overlap, so the last of them by start ends
+    // furthest right; only the empty spans of zero-width cells after it,
+    // which may lie inside it, need a look.
+    SiteIndex end = 0;
     const auto& owners = owners_[row];
-    return owners.empty() ? 0 : owners.back().end;
+    for (auto it = owners.rbegin(); it != owners.rend(); ++it) {
+      end = std::max(end, it->end);
+      if (it->end > it->start) break;
+    }
+    return end;
   }
 
   /// Places the cell at the nearest free position; when none exists, frees

@@ -82,9 +82,13 @@ struct LegalizationModel {
   /// Variables of each chip row in left-to-right constraint order.
   std::vector<std::vector<index_t>> row_variables;
   /// Chip row each spacing constraint (B row) was emitted in. Constraints
-  /// are emitted row by row, so this is ascending; the incremental
-  /// repartition uses it to walk only the constraints of affected rows.
+  /// are emitted row by row, so this is ascending; patch_model uses it to
+  /// find each chip row's slice of B.
   std::vector<index_t> constraint_row;
+  /// Live fixed cells obstructing each chip row, ascending id: the source
+  /// of the row's obstacle intervals, kept so patch_model re-walks a row
+  /// without scanning every cell.
+  std::vector<std::vector<index_t>> row_fixed_cells;
 
   std::size_t num_variables() const { return variables.size(); }
 
@@ -127,6 +131,44 @@ LegalizationModel build_model(const db::Design& design,
                               const RowAssignment& base_rows,
                               const ModelOptions& options = {},
                               ConstraintPartition* partition_out = nullptr);
+
+/// What an ECO batch touched. Both masks are dense: touched_cells is
+/// indexed by cell id of the *new* design (a cell counts as touched when it
+/// was moved, inserted, or erased by the batch), affected_rows by chip row
+/// (the union of every touched cell's old and new row spans; a fixed
+/// cell's span is every row its outline overlaps).
+struct EcoDelta {
+  std::vector<char> touched_cells;
+  std::vector<char> affected_rows;
+};
+
+/// What patch_model changed, in the numbering of the model it patched.
+struct ModelPatch {
+  /// Old variable -> new variable; kNoVariable for an erased cell's.
+  std::vector<index_t> new_variable;
+  /// Old B row -> new B row; kNoVariable for the rows of affected chip
+  /// rows, which were re-emitted.
+  std::vector<index_t> new_constraint;
+  /// Old variables that sat in an affected chip row (every old variable of
+  /// a touched cell is among them).
+  std::vector<index_t> dirty_variables;
+  /// False when new_variable is the identity on every surviving variable
+  /// (no movable cell was erased).
+  bool shifted = false;
+};
+
+/// Patches `model`, built for a design state and its row assignment, to
+/// the model of `design` after an ECO batch described by `delta`: the
+/// result is bitwise equal to build_model(design, base_rows) with the
+/// model's λ. `base_rows` may differ from the model's only at touched
+/// cells. A chip row outside delta.affected_rows has the same members, GP
+/// x, widths and obstacles as before, so its variable list and spacing
+/// rows are copied with variable ids remapped (the remap keeps cell order,
+/// so it keeps every ascending order); only affected rows are re-sorted
+/// and re-walked. Cost: linear passes over the variables and constraints
+/// plus the affected rows' sorts, no per-cell rebuild.
+ModelPatch patch_model(LegalizationModel& model, const db::Design& design,
+                       const RowAssignment& base_rows, const EcoDelta& delta);
 
 /// Reference assembler: stages every constraint in a COO triplet list and
 /// converts at the end. Produces a bit-identical model to build_model —

@@ -56,35 +56,24 @@ ConstraintPartition partition_model(const LegalizationModel& model);
 
 /// Turns a fully-united union-find over the model's variables into the
 /// canonical partition: component ids ascend by smallest variable index,
-/// all index lists sorted. Shared by partition_model, repartition_model,
-/// and the streamed build (build_model's partition_out), so every path
-/// produces bit-identical partitions from the same edge set regardless of
-/// union order. Requires model.qp.B to be fully assembled.
+/// all index lists sorted. Shared by partition_model and the streamed build
+/// (build_model's partition_out), so both produce bit-identical partitions
+/// from the same edge set regardless of union order. Requires model.qp.B
+/// to be fully assembled.
 ConstraintPartition finalize_partition(UnionFind& uf,
                                        const LegalizationModel& model);
 
-/// What an ECO batch touched, for the incremental repartition. Both masks
-/// are dense: touched_cells is indexed by cell id of the *new* design (a
-/// cell counts as touched when it was moved, inserted, or erased by the
-/// batch), affected_rows by chip row (the union of every touched cell's
-/// old and new row spans).
-struct PartitionDelta {
-  std::vector<char> touched_cells;
-  std::vector<char> affected_rows;
-};
-
-/// Incremental re-union after an ECO batch: produces exactly
-/// partition_model(model), but instead of walking every spacing row of B it
-/// only walks the rows of affected chip rows and of previously-dirty
-/// components, swallowing each clean previous component with one wholesale
-/// union (its internal edges cannot have changed: its cells are untouched
-/// and its rows unaffected, so the same chains exist in the new model).
-/// `prev_model`/`previous` are the model and partition of the state the
-/// delta was applied to; variables are matched across the two models by
-/// (cell, subrow), which is stable because ECO ids are stable.
-ConstraintPartition repartition_model(const LegalizationModel& model,
-                                      const LegalizationModel& prev_model,
-                                      const ConstraintPartition& previous,
-                                      const PartitionDelta& delta);
+/// Patches `partition`, the canonical partition of the model before
+/// patch_model, into the canonical partition of the patched `model`:
+/// exactly partition_model(model). A previous component with no variable
+/// among patch.dirty_variables is clean: its cells are untouched and its
+/// rows unaffected, so its spacing rows were copied and it is still a
+/// component; its lists are only renumbered. The variables and constraint
+/// rows of the other previous components, plus everything in the affected
+/// chip rows, are re-united locally, and the canonical order is restored by
+/// sorting the component heads.
+void patch_partition(ConstraintPartition& partition,
+                     const LegalizationModel& model, const ModelPatch& patch,
+                     const EcoDelta& delta);
 
 }  // namespace mch::legal

@@ -76,6 +76,58 @@ std::size_t BlockDiagMatrix::append_block_to(BlockDiagMatrix& dst,
   return dst.offsets_.size() - 1;
 }
 
+void BlockDiagMatrix::erase_blocks(const std::vector<index_t>& blocks) {
+  if (blocks.empty()) return;
+  MCH_CHECK(std::is_sorted(blocks.begin(), blocks.end()) &&
+            std::adjacent_find(blocks.begin(), blocks.end()) == blocks.end() &&
+            blocks.back() < offsets_.size());
+  // Compact front to back: every write index trails its read index, so
+  // each entry is read before anything overwrites it.
+  std::size_t erase = 0;
+  std::size_t kept = 0;
+  std::size_t size = 0;
+  std::size_t slot = 0;
+  std::size_t kept_slots = 0;
+  const std::size_t count = offsets_.size();
+  for (std::size_t b = 0; b < count; ++b) {
+    const std::size_t off = offsets_[b];
+    const std::size_t d = block_size(b);
+    const bool scalar = scalar_mask_[b];
+    if (erase < blocks.size() && blocks[erase] == b) {
+      ++erase;
+      if (!scalar) ++slot;
+      continue;
+    }
+    offsets_[kept] = to_index(size);
+    scalar_mask_[kept] = scalar;
+    std::copy(scalar_values_.begin() + static_cast<std::ptrdiff_t>(off),
+              scalar_values_.begin() + static_cast<std::ptrdiff_t>(off + d),
+              scalar_values_.begin() + static_cast<std::ptrdiff_t>(size));
+    std::copy(scalar_inverses_.begin() + static_cast<std::ptrdiff_t>(off),
+              scalar_inverses_.begin() + static_cast<std::ptrdiff_t>(off + d),
+              scalar_inverses_.begin() + static_cast<std::ptrdiff_t>(size));
+    if (!scalar) {
+      general_blocks_[kept_slots] = to_index(kept);
+      if (kept_slots != slot) {
+        general_dense_[kept_slots] = std::move(general_dense_[slot]);
+        general_inverses_[kept_slots] = std::move(general_inverses_[slot]);
+      }
+      ++slot;
+      ++kept_slots;
+    }
+    ++kept;
+    size += d;
+  }
+  offsets_.resize(kept);
+  scalar_mask_.resize(kept);
+  scalar_values_.resize(size);
+  scalar_inverses_.resize(size);
+  general_blocks_.resize(kept_slots);
+  general_dense_.resize(kept_slots);
+  general_inverses_.resize(kept_slots);
+  size_ = size;
+}
+
 std::size_t BlockDiagMatrix::general_slot(std::size_t b) const {
   const auto it = std::lower_bound(general_blocks_.begin(),
                                    general_blocks_.end(), b);

@@ -49,6 +49,11 @@ class BlockDiagMatrix {
   /// dst's new block index.
   std::size_t append_block_to(BlockDiagMatrix& dst, std::size_t b) const;
 
+  /// Removes the given blocks (block indices, strictly ascending) in place:
+  /// the remaining blocks keep their order, values and stored inverses and
+  /// move down to close the gaps. One pass over the matrix, no inversion.
+  void erase_blocks(const std::vector<index_t>& blocks);
+
   /// Total matrix dimension (sum of block sizes).
   std::size_t size() const { return size_; }
   std::size_t block_count() const { return offsets_.size(); }

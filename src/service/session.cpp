@@ -89,7 +89,7 @@ const char* to_string(SolveMode mode) {
 }
 
 struct LegalizationSession::ApplyOutcome {
-  legal::PartitionDelta delta;
+  legal::EcoDelta delta;
 };
 
 LegalizationSession::LegalizationSession(db::Design design,
@@ -228,44 +228,38 @@ void LegalizationSession::run_full(SessionResult& result) {
       .arg("legal", result.legal);
 }
 
-void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
+void LegalizationSession::run_incremental(const legal::EcoDelta& delta,
                                           SessionResult& result) {
   result.session.incremental = true;
   obs::TraceSpan span("session.run_incremental");
 
-  // The previous model/partition/solution stay alive through this request:
-  // the repartition diffs against them and clean components copy their
-  // previous solution entries verbatim.
-  legal::LegalizationModel prev_model = std::move(model_);
+  // The resident model and partition are patched in place; the patch's
+  // old -> new variable map is all that is left of the previous numbering,
+  // and the previous solution is read through it below.
+  legal::ModelPatch patch;
   {
-    obs::TraceSpan model_span("session.model_rebuild");
+    obs::TraceSpan model_span("session.model_patch");
     Timer model_timer;
-    model_ =
-        legal::build_model(design_, base_rows_, options_.flow.solver.model);
+    patch = legal::patch_model(model_, design_, base_rows_, delta);
     result.phase.model += model_timer.seconds();
   }
-
-  const legal::ConstraintPartition prev_partition = std::move(partition_);
   {
-    obs::TraceSpan partition_span("session.repartition");
+    obs::TraceSpan partition_span("session.partition_patch");
     Timer partition_timer;
-    partition_ =
-        legal::repartition_model(model_, prev_model, prev_partition, delta);
+    legal::patch_partition(partition_, model_, patch, delta);
     result.phase.partition += partition_timer.seconds();
     partition_span.arg("components", partition_.num_components());
   }
 
   // Dirty-component rule (header): a component must be re-solved iff it
   // contains a touched cell's variable or a variable in an affected row.
+  // Every touched cell's variables sit in affected rows (the delta marks
+  // each touched cell's new span), so the affected rows' lists cover both.
   Timer extract_timer;
-  const auto affected = [&](std::size_t row) {
-    return row < delta.affected_rows.size() && delta.affected_rows[row] != 0;
-  };
   std::vector<char> dirty(partition_.num_components(), 0);
-  for (std::size_t v = 0; v < model_.num_variables(); ++v) {
-    const legal::VariableInfo& info = model_.variables[v];
-    if (delta.touched_cells[info.cell] != 0 ||
-        affected(model_.base_rows[info.cell] + info.subrow))
+  for (std::size_t r = 0; r < delta.affected_rows.size(); ++r) {
+    if (delta.affected_rows[r] == 0) continue;
+    for (const std::size_t v : model_.row_variables[r])
       dirty[partition_.variable_component[v]] = 1;
   }
   std::vector<std::size_t> dirty_ids;
@@ -323,17 +317,16 @@ void LegalizationSession::run_incremental(const legal::PartitionDelta& delta,
   result.phase.solve += solve_timer.seconds();
 
   // Clean components: the previous converged solution is still converged
-  // (their local QP is bit-identical), so copy it verbatim by (cell,
-  // subrow) — no solver touches them.
+  // (their local QP is bit-identical), so copy it verbatim through the
+  // patch's variable map — no solver touches them.
   {
     obs::TraceSpan reuse_span("session.reuse_and_write_back");
     Timer reuse_timer;
-    for (std::size_t c = 0; c < partition_.num_components(); ++c) {
-      if (dirty[c] != 0) continue;
-      for (const std::size_t v : partition_.component_variables[c]) {
-        const legal::VariableInfo& info = model_.variables[v];
-        x[v] = solution_[prev_model.cell_first_var[info.cell] + info.subrow];
-      }
+    for (std::size_t v = 0; v < patch.new_variable.size(); ++v) {
+      const std::size_t to = patch.new_variable[v];
+      if (to != legal::LegalizationModel::kNoVariable &&
+          dirty[partition_.variable_component[to]] == 0)
+        x[to] = solution_[v];
     }
     legal::write_back(design_, model_, x, report.clamped_cells);
     solution_ = std::move(x);

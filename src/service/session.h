@@ -24,9 +24,13 @@
 // component with no touched cell and no variable in an affected row
 // therefore has a bit-identical local QP and an unchanged variable set —
 // its previous converged solution is still a converged solution, so it is
-// skipped entirely. Incremental results match a from-scratch solve to
-// solver tolerance; kFull requests instead re-solve everything and are
-// bitwise identical to a one-shot legal::legalize of the same design state.
+// skipped entirely. By the same argument the resident model and partition
+// are patched in place for the affected rows (legal::patch_model,
+// legal::patch_partition) rather than rebuilt; the patch is bitwise what
+// build_model and partition_model give on the new state. Incremental
+// results match a from-scratch solve to solver tolerance; kFull requests
+// instead re-solve everything and are bitwise identical to a one-shot
+// legal::legalize of the same design state.
 #pragma once
 
 #include <cstddef>
@@ -110,8 +114,8 @@ struct SessionDisplacement {
 struct SessionPhases {
   double apply = 0.0;      ///< ECO op application + delta tracking
   double rows = 0.0;       ///< row re-assignment (touched cells or full)
-  double model = 0.0;      ///< build_model
-  double partition = 0.0;  ///< incremental repartition / full partition
+  double model = 0.0;      ///< build_model, or the ECO's patch_model
+  double partition = 0.0;  ///< the ECO's patch_partition (full: in model)
   double extract = 0.0;    ///< dirty-component extraction
   double solve = 0.0;      ///< component solves (or the full solve section)
   double reuse = 0.0;      ///< clean-component solution reuse + write-back
@@ -186,6 +190,14 @@ class LegalizationSession {
   const db::Design& design() const { return design_; }
   std::uint64_t num_requests() const { return next_request_; }
 
+  /// The resident model, its partition and the row assignment they were
+  /// built for. Read-only views for tests that compare the patched state
+  /// with a from-scratch build; they describe design() once a request
+  /// solved it.
+  const legal::LegalizationModel& model() const { return model_; }
+  const legal::ConstraintPartition& partition() const { return partition_; }
+  const legal::RowAssignment& base_rows() const { return base_rows_; }
+
   /// Runs the complete flow on the current design state; a full solve is
   /// never incremental, whatever `mode` says (it only labels the result).
   SessionResult full_legalize(SolveMode mode = SolveMode::kAuto);
@@ -210,7 +222,7 @@ class LegalizationSession {
 
   ApplyOutcome apply_ops(const std::vector<EcoOp>& ops);
   void run_full(SessionResult& result);
-  void run_incremental(const legal::PartitionDelta& delta,
+  void run_incremental(const legal::EcoDelta& delta,
                        SessionResult& result);
   void finish(SessionResult& result);
 

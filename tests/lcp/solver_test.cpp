@@ -165,10 +165,10 @@ TEST(RecoveryLadderTest, ForcedFailureRecoversAtEscalatedRung) {
 }
 
 // The escalated retry resumes from the failed iterate the primary attempt
-// stored in the slot, rescaled to the retry's γ, and stores its own final
-// iterate back. Here the primary converged and was failed by injection, so
-// the retry starts at the fixed point and stops within one residual-check
-// stride; a resume that misread the iterate's γ would start elsewhere.
+// stored in the slot, at the primary's γ, and stores its own final iterate
+// back. Here the primary converged and was failed by injection, so the
+// retry starts at the fixed point and stops within one residual-check
+// stride; a resume that misread the iterate would start elsewhere.
 TEST(RecoveryLadderTest, EscalatedRetryResumesFromTheFailedIterate) {
   const StructuredQp qp = chain_qp();
   RecoveryOptions recovery;

@@ -177,7 +177,7 @@ TEST(OwnedOccupancyTest, ZeroWidthOwners) {
   occ.place(design, 0, 0, 10);   // [10, 15)
   occ.place(design, 1, 0, 12);   // inside cell 0
   EXPECT_EQ(occ.blockers(0, 1, 11, 3), (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(occ.max_end(0), 12);  // the rightmost start's end
+  EXPECT_EQ(occ.max_end(0), 15);  // cell 0's end, not the empty span's
   occ.remove(design, 1);
   EXPECT_FALSE(occ.is_free(0, 1, 12, 1));
   EXPECT_EQ(occ.blockers(0, 1, 11, 3), (std::vector<std::size_t>{0}));

@@ -1,8 +1,10 @@
 // Partitioner tests: component membership on hand-built designs whose rows
-// are split by obstacles, sub-problem extraction, the solve-invariance
-// guarantee of the partitioned legalizer (tiered == monolithic to solver
-// tolerance), and MMSIM against the Lemke oracle on small and row-free
-// components, the last three also swept over the generated design families.
+// are split by obstacles, sub-problem extraction, the ECO patch of the
+// resident model and partition against a from-scratch build, the
+// solve-invariance guarantee of the partitioned legalizer (tiered ==
+// monolithic to solver tolerance), and MMSIM against the Lemke oracle on
+// small and row-free components, the last three also swept over the
+// generated design families.
 #include "legal/partition.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "design_families.h"
@@ -18,6 +21,7 @@
 #include "legal/mmsim_legalizer.h"
 #include "legal/model.h"
 #include "legal/row_assign.h"
+#include "oracle/expect_model.h"
 #include "util/rng.h"
 
 namespace mch::legal {
@@ -195,51 +199,102 @@ TEST(PartitionTest, TieredMatchesMonolithicWithinTolerance) {
 
 void expect_same_partition(const ConstraintPartition& a,
                            const ConstraintPartition& b) {
-  EXPECT_EQ(a.variable_component, b.variable_component);
-  EXPECT_EQ(a.constraint_component, b.constraint_component);
-  EXPECT_EQ(a.component_variables, b.component_variables);
-  EXPECT_EQ(a.component_constraints, b.component_constraints);
+  oracle::expect_partitions_identical(a, b);
 }
 
-/// Applies an ECO batch the way the service layer does — db helpers plus
-/// delta tracking — and returns the delta. `rows` is updated in place.
-PartitionDelta apply_eco(db::Design& design, RowAssignment& rows,
-                         const std::vector<std::size_t>& moves,
-                         const std::vector<double>& gp_x,
-                         const std::vector<double>& gp_y) {
-  PartitionDelta delta;
-  delta.affected_rows.assign(design.chip().num_rows, 0);
-  const auto mark = [&](std::size_t first, std::size_t count) {
-    for (std::size_t r = first;
-         r < std::min(first + count, design.chip().num_rows); ++r)
-      delta.affected_rows[r] = 1;
-  };
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    const std::size_t id = moves[i];
-    mark(rows[id], design.cells()[id].height_rows);
-    design.move_cell(id, gp_x[i], gp_y[i]);
-    rows[id] = design.nearest_legal_row(design.cells()[id]);
-    mark(rows[id], design.cells()[id].height_rows);
+/// Applies ECO ops the way the service layer does — the db mutators plus
+/// delta tracking (every touched cell's old and new row spans; a fixed
+/// cell's span is every row its outline overlaps) — and keeps the row
+/// assignment current.
+class EcoApplier {
+ public:
+  EcoApplier(db::Design& design, RowAssignment& rows)
+      : design_(design), rows_(rows) {
+    delta_.affected_rows.assign(design.chip().num_rows, 0);
   }
-  delta.touched_cells.assign(design.num_cells(), 0);
-  for (const std::size_t id : moves) delta.touched_cells[id] = 1;
-  return delta;
+
+  void move(std::size_t id, double gp_x, double gp_y) {
+    mark(id);
+    design_.move_cell(id, gp_x, gp_y);
+    db::Cell& cell = design_.cells()[id];
+    rows_[id] = design_.nearest_legal_row(cell);
+    cell.y = design_.chip().row_y(rows_[id]);
+    mark(id);
+  }
+
+  std::size_t insert(const db::Cell& payload) {
+    const std::size_t id = design_.insert_cell(payload);
+    db::Cell& cell = design_.cells()[id];
+    if (cell.fixed) {
+      rows_.push_back(design_.nearest_row(cell.y, cell.height_rows));
+    } else {
+      rows_.push_back(design_.nearest_legal_row(cell));
+      cell.y = design_.chip().row_y(rows_[id]);
+    }
+    mark(id);
+    return id;
+  }
+
+  void erase(std::size_t id) {
+    mark(id);
+    design_.erase_cell(id);
+  }
+
+  EcoDelta delta() const {
+    EcoDelta out = delta_;
+    out.touched_cells.assign(design_.num_cells(), 0);
+    for (const std::size_t id : touched_) out.touched_cells[id] = 1;
+    return out;
+  }
+
+ private:
+  void mark(std::size_t id) {
+    touched_.push_back(id);
+    const db::Cell& cell = design_.cells()[id];
+    const db::Chip& chip = design_.chip();
+    std::size_t first = rows_[id];
+    std::size_t end = first + cell.height_rows;
+    if (cell.fixed) {
+      const double top =
+          cell.y + static_cast<double>(cell.height_rows) * chip.row_height;
+      first = static_cast<std::size_t>(
+          std::max(0.0, std::floor(cell.y / chip.row_height + 1e-9)));
+      end = static_cast<std::size_t>(
+          std::max(0.0, std::ceil(top / chip.row_height - 1e-9)));
+    }
+    for (std::size_t r = first; r < std::min(end, chip.num_rows); ++r)
+      delta_.affected_rows[r] = 1;
+  }
+
+  db::Design& design_;
+  RowAssignment& rows_;
+  EcoDelta delta_;
+  std::vector<std::size_t> touched_;
+};
+
+/// Patches the resident model and partition for `delta` and checks both,
+/// bitwise, against a from-scratch build of the current state.
+void patch_and_check(LegalizationModel& model, ConstraintPartition& partition,
+                     const db::Design& design, const RowAssignment& rows,
+                     const EcoDelta& delta) {
+  const ModelPatch patch = patch_model(model, design, rows, delta);
+  patch_partition(partition, model, patch, delta);
+  const LegalizationModel scratch = build_model(design, rows);
+  oracle::expect_models_identical(model, scratch);
+  expect_same_partition(partition, partition_model(scratch));
 }
 
 TEST(PartitionTest, RepartitionMatchesScratchOnHandBuiltMove) {
   db::Design design = split_row_design();
   RowAssignment rows = assign_rows(design);
-  const LegalizationModel before = build_model(design, rows);
-  const ConstraintPartition part_before = partition_model(before);
-  ASSERT_EQ(part_before.num_components(), 3u);
+  LegalizationModel model = build_model(design, rows);
+  ConstraintPartition partition = partition_model(model);
+  ASSERT_EQ(partition.num_components(), 3u);
 
   // Move c from right of the obstacle into row 1: components merge.
-  const PartitionDelta delta =
-      apply_eco(design, rows, {2}, {8.0}, {10.0});
-  const LegalizationModel after = build_model(design, rows);
-  expect_same_partition(
-      repartition_model(after, before, part_before, delta),
-      partition_model(after));
+  EcoApplier eco(design, rows);
+  eco.move(2, 8.0, 10.0);
+  patch_and_check(model, partition, design, rows, eco.delta());
 }
 
 TEST(PartitionTest, RepartitionMatchesScratchOnRandomEcoStream) {
@@ -253,26 +308,113 @@ TEST(PartitionTest, RepartitionMatchesScratchOnRandomEcoStream) {
 
   Rng rng(57);
   for (int batch = 0; batch < 4; ++batch) {
-    std::vector<std::size_t> moves;
-    std::vector<double> gp_x;
-    std::vector<double> gp_y;
-    while (moves.size() < 7) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    EcoApplier eco(design, rows);
+    for (int moved = 0; moved < 7;) {
       const auto id = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(design.num_cells()) - 1));
-      if (design.cells()[id].fixed) continue;
-      moves.push_back(id);
-      gp_x.push_back(design.cells()[id].gp_x +
-                     rng.normal(0.0, 8.0 * design.chip().site_width));
-      gp_y.push_back(design.cells()[id].gp_y +
-                     rng.normal(0.0, 1.5 * design.chip().row_height));
+      const db::Cell& cell = design.cells()[id];
+      if (cell.fixed) continue;
+      eco.move(id, cell.gp_x + rng.normal(0.0, 8.0 * design.chip().site_width),
+               cell.gp_y + rng.normal(0.0, 1.5 * design.chip().row_height));
+      ++moved;
     }
-    const PartitionDelta delta = apply_eco(design, rows, moves, gp_x, gp_y);
-    LegalizationModel after = build_model(design, rows);
-    const ConstraintPartition scratch = partition_model(after);
-    expect_same_partition(
-        repartition_model(after, model, partition, delta), scratch);
-    model = std::move(after);
-    partition = scratch;
+    patch_and_check(model, partition, design, rows, eco.delta());
+  }
+}
+
+/// One random ECO batch of 1–6 ops applied through `eco`: moves, inserts
+/// of movable cells (clones of a live cell, some made triple-height) and of
+/// fixed blocks, and erases of movable and fixed cells — a cell inserted
+/// earlier in the batch included.
+void random_batch(db::Design& design, EcoApplier& eco, Rng& rng) {
+  const db::Chip& chip = design.chip();
+  const auto pick = [&](bool fixed) -> std::size_t {
+    for (int tries = 0; tries < 200; ++tries) {
+      const auto id = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(design.num_cells()) - 1));
+      const db::Cell& cell = design.cells()[id];
+      if (!cell.erased && cell.fixed == fixed) return id;
+    }
+    return design.num_cells();  // none found
+  };
+  const auto ops = rng.uniform_int(1, 6);
+  for (std::int64_t k = 0; k < ops; ++k) {
+    const double kind = rng.uniform(0.0, 1.0);
+    if (kind < 0.4) {
+      const std::size_t id = pick(false);
+      if (id == design.num_cells()) continue;
+      const db::Cell& cell = design.cells()[id];
+      eco.move(id, cell.gp_x + rng.normal(0.0, 6.0 * chip.site_width),
+               cell.gp_y + rng.normal(0.0, 1.0 * chip.row_height));
+    } else if (kind < 0.55) {
+      const std::size_t id = pick(false);
+      if (id == design.num_cells()) continue;
+      db::Cell payload = design.cells()[id];
+      if (rng.uniform(0.0, 1.0) < 0.3)
+        payload.height_rows = std::min<std::size_t>(3, chip.num_rows);
+      payload.gp_x = rng.uniform(0.0, chip.width() - payload.width);
+      payload.gp_y = rng.uniform(
+          0.0, chip.height() - static_cast<double>(payload.height_rows) *
+                                   chip.row_height);
+      eco.insert(payload);
+    } else if (kind < 0.65) {
+      db::Cell block;
+      block.fixed = true;
+      block.width = chip.site_width *
+                    static_cast<double>(rng.uniform_int(2, 12));
+      block.height_rows = static_cast<std::size_t>(rng.uniform_int(1, 2));
+      block.gp_x = block.x = chip.site_width *
+          static_cast<double>(rng.uniform_int(
+              0, static_cast<std::int64_t>(chip.num_sites) - 12));
+      block.gp_y = block.y = chip.row_y(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(chip.num_rows) - 2)));
+      eco.insert(block);
+    } else if (kind < 0.85) {
+      const std::size_t id = pick(false);
+      if (id != design.num_cells()) eco.erase(id);
+    } else {
+      const std::size_t id = pick(true);
+      if (id != design.num_cells()) eco.erase(id);
+    }
+  }
+}
+
+// The resident patch equals a from-scratch build_model and partition_model
+// after every step of seeded delta streams, on healthy, obstacle-heavy and
+// degenerate designs.
+TEST(PartitionTest, PatchMatchesScratchOnRandomDeltaStreams) {
+  std::vector<std::pair<std::string, db::Design>> designs;
+  {
+    gen::GeneratorOptions options;
+    options.seed = 3;
+    options.fixed_macros = 6;
+    designs.emplace_back("random+macros",
+                         gen::generate_random_design(900, 120, 0.7, options));
+  }
+  designs.emplace_back(
+      "obstacle-heavy",
+      gen::generate_scale_design(gen::ScaleVariant::kObstacleHeavy, 1500, 5));
+  for (const gen::DegenerateMode mode :
+       {gen::DegenerateMode::kNearSingularCoupling,
+        gen::DegenerateMode::kInfeasibleRowCapacity,
+        gen::DegenerateMode::kObstacleSaturatedRows})
+    designs.emplace_back(gen::to_string(mode),
+                         gen::generate_degenerate_design(mode, 300, 7));
+
+  for (auto& [name, design] : designs) {
+    SCOPED_TRACE(name);
+    RowAssignment rows = assign_rows(design);
+    LegalizationModel model = build_model(design, rows);
+    ConstraintPartition partition = partition_model(model);
+    Rng rng(91);
+    for (int step = 0; step < 12; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      EcoApplier eco(design, rows);
+      random_batch(design, eco, rng);
+      patch_and_check(model, partition, design, rows, eco.delta());
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -209,6 +212,38 @@ TEST(BlockDiagScalarTest, MixedScalarGeneralSolveMatchesDense) {
     EXPECT_NEAR(solved[i], dense_solved[i], 1e-10);
     EXPECT_NEAR(product[i], dense_product[i], 1e-12);
   }
+}
+
+// Erasing blocks in place leaves exactly the matrix built from the kept
+// blocks alone: offsets, scalar arrays, general blocks and their stored
+// inverses, with scalar and general blocks erased at the front, the middle
+// and the end.
+TEST(BlockDiagTest, EraseBlocksMatchesRebuildWithoutThem) {
+  const std::vector<std::size_t> heights = {2, 1, 3, 1, 1, 2, 4, 1, 2};
+  BlockDiagMatrix k;
+  for (const std::size_t d : heights) k.add_block(cell_block(d, 7.0));
+  const std::vector<index_t> erase = {0, 3, 5, 8};
+  BlockDiagMatrix kept;
+  for (std::size_t b = 0; b < heights.size(); ++b)
+    if (std::find(erase.begin(), erase.end(), b) == erase.end())
+      kept.add_block(cell_block(heights[b], 7.0));
+
+  k.erase_blocks(erase);
+  ASSERT_EQ(k.size(), kept.size());
+  ASSERT_EQ(k.block_count(), kept.block_count());
+  EXPECT_EQ(k.scalar_values(), kept.scalar_values());
+  EXPECT_EQ(k.scalar_inverses(), kept.scalar_inverses());
+  EXPECT_EQ(k.general_block_indices(), kept.general_block_indices());
+  for (std::size_t b = 0; b < k.block_count(); ++b) {
+    ASSERT_EQ(k.block_offset(b), kept.block_offset(b));
+    ASSERT_EQ(k.is_scalar_block(b), kept.is_scalar_block(b));
+  }
+  for (std::size_t i = 0; i < k.size(); ++i)
+    for (std::size_t j = 0; j < k.size(); ++j) {
+      EXPECT_EQ(k.entry(i, j), kept.entry(i, j));
+      EXPECT_EQ(k.inverse_entry(i, j), kept.inverse_entry(i, j));
+    }
+  EXPECT_THROW(k.erase_blocks({2, 1}), CheckError);
 }
 
 }  // namespace

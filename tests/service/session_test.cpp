@@ -4,13 +4,16 @@
 // incremental ECO requests that stay legal while re-solving only the dirty
 // components. A malformed ECO batch is rejected whole, before any op
 // applies. A seeded fuzz stream of mixed move/insert/erase batches checks
-// all of these after every request. Registered with the MT4/RECOVERY/TRACE variants so the same
+// all of these after every request, plus the resident model and partition
+// against a from-scratch build, on generated and degenerate designs.
+// Registered with the MT4/RECOVERY/TRACE variants so the same
 // contracts hold with a 4-thread pool, with the fault-injected recovery
 // ladder engaged, and with tracing on.
 #include "service/session.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -21,8 +24,11 @@
 #include "gen/generator.h"
 #include "legal/flow.h"
 #include "legal/mmsim_legalizer.h"
+#include "legal/model.h"
+#include "legal/partition.h"
 #include "legal/row_assign.h"
 #include "oracle/expect.h"
+#include "oracle/expect_model.h"
 #include "util/rng.h"
 
 namespace mch::service {
@@ -439,34 +445,42 @@ void expect_state_matches_oracles(const db::Design& state) {
   }
 }
 
-class EcoFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// The resident model and partition against a from-scratch build of the
+/// session's current state: the ECO path patches them in place, and the
+/// patch must reproduce build_model and partition_model bit for bit.
+void expect_resident_state_matches_scratch(
+    const LegalizationSession& session) {
+  const legal::LegalizationModel scratch =
+      legal::build_model(session.design(), session.base_rows());
+  oracle::expect_models_identical(session.model(), scratch);
+  oracle::expect_partitions_identical(session.partition(),
+                                      legal::partition_model(scratch));
+}
 
-// After every request of a seeded stream: the result is legal by an
-// independent check, the request's bookkeeping matches the batch, the
-// allocation and the check equal their oracles on the served state, and the
-// incremental displacement agrees with a kFull re-solve of the same state.
-// At the end, a replay of the stream in a second session is bitwise equal,
-// and a kFull request on the final state equals a one-shot legalize.
-TEST_P(EcoFuzzTest, StreamMatchesFullRecomputation) {
-  const std::uint64_t seed = GetParam();
-  gen::GeneratorOptions gen_options;
-  gen_options.seed = seed;
-  gen_options.fixed_macros = static_cast<std::size_t>(seed % 3);
-  const double density = 0.5 + 0.1 * static_cast<double>(seed % 3);
-  const db::Design initial =
-      gen::generate_random_design(1080, 120, density, gen_options);
-
+/// A seeded fuzz stream of `requests` ECO batches on `initial`. After every
+/// request:
+/// the resident model and partition equal a from-scratch build, the
+/// request's bookkeeping matches the batch, the allocation and the check
+/// equal their oracles on the served state, and — when the design admits a
+/// legal placement (`legal`) — the result is legal by an independent check
+/// and the incremental displacement agrees with a kFull re-solve of the
+/// same state. At the end, a replay of the stream in a second session is
+/// bitwise equal, and a kFull request on the final state equals a one-shot
+/// legalize.
+void run_eco_fuzz(const db::Design& initial, std::uint64_t seed,
+                  bool legal, int requests) {
   LegalizationSession session(initial);
-  ASSERT_TRUE(session.full_legalize().legal);
+  ASSERT_EQ(session.full_legalize().legal, legal);
   session.commit_legal_as_gp();
-  ASSERT_TRUE(session.full_legalize().legal);
+  ASSERT_EQ(session.full_legalize().legal, legal);
+  expect_resident_state_matches_scratch(session);
 
   Rng rng(1000 + seed);
   std::vector<std::vector<EcoOp>> script;
   std::vector<SessionResult> served;
   std::size_t erased = 0;
   std::size_t incremental = 0;
-  for (int request = 0; request < 5; ++request) {
+  for (int request = 0; request < requests; ++request) {
     SCOPED_TRACE("request " + std::to_string(request));
     std::set<std::size_t> touched;
     script.push_back(fuzz_batch(session.design(), rng, touched));
@@ -475,9 +489,12 @@ TEST_P(EcoFuzzTest, StreamMatchesFullRecomputation) {
 
     served.push_back(session.eco(script.back()));
     const SessionResult& result = served.back();
-    ASSERT_TRUE(result.legal) << result.legality_summary;
-    const db::LegalityReport report = db::check_legality(session.design());
-    ASSERT_TRUE(report.legal()) << report.summary();
+    expect_resident_state_matches_scratch(session);
+    if (legal) {
+      ASSERT_TRUE(result.legal) << result.legality_summary;
+      const db::LegalityReport report = db::check_legality(session.design());
+      ASSERT_TRUE(report.legal()) << report.summary();
+    }
     expect_state_matches_oracles(session.design());
     EXPECT_EQ(result.kind, RequestKind::kEco);
     EXPECT_EQ(result.session.touched_cells, touched.size());
@@ -491,13 +508,18 @@ TEST_P(EcoFuzzTest, StreamMatchesFullRecomputation) {
                 result.session.components_total);
     }
 
-    LegalizationSession reference(session.design());
-    const SessionResult full = reference.full_legalize(SolveMode::kFull);
-    ASSERT_TRUE(full.legal) << full.legality_summary;
-    EXPECT_NEAR(result.displacement.mean_sites, full.displacement.mean_sites,
-                1e-3 * full.displacement.mean_sites);
+    if (legal) {
+      LegalizationSession reference(session.design());
+      const SessionResult full = reference.full_legalize(SolveMode::kFull);
+      ASSERT_TRUE(full.legal) << full.legality_summary;
+      EXPECT_NEAR(result.displacement.mean_sites,
+                  full.displacement.mean_sites,
+                  1e-3 * full.displacement.mean_sites);
+    }
   }
-  EXPECT_GT(incremental, 0u) << "no request took the incremental path";
+  if (legal) {
+    EXPECT_GT(incremental, 0u) << "no request took the incremental path";
+  }
 
   LegalizationSession replay(initial);
   replay.full_legalize();
@@ -514,13 +536,52 @@ TEST_P(EcoFuzzTest, StreamMatchesFullRecomputation) {
   expect_same_positions(replay.design(), session.design());
 
   db::Design scratch = session.design();
-  ASSERT_TRUE(session.full_legalize(SolveMode::kFull).legal);
-  ASSERT_TRUE(legal::legalize(scratch).legal);
+  EXPECT_EQ(session.full_legalize(SolveMode::kFull).legal, legal);
+  EXPECT_EQ(legal::legalize(scratch).legal, legal);
   expect_same_positions(session.design(), scratch);
+}
+
+class EcoFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EcoFuzzTest, StreamMatchesFullRecomputation) {
+  const std::uint64_t seed = GetParam();
+  gen::GeneratorOptions gen_options;
+  gen_options.seed = seed;
+  gen_options.fixed_macros = static_cast<std::size_t>(seed % 3);
+  const double density = 0.5 + 0.1 * static_cast<double>(seed % 3);
+  run_eco_fuzz(gen::generate_random_design(1080, 120, density, gen_options),
+               seed, /*legal=*/true, /*requests=*/5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EcoFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+class EcoFuzzDegenerateTest
+    : public ::testing::TestWithParam<gen::DegenerateMode> {};
+
+// The same stream on the generator's pathological designs. Only the stacked
+// tall-cell column admits a legal placement; on the other two the resident
+// state, the oracles and the replay are checked. Three requests: once an ECO
+// lands in the stacked column, each solve of it exhausts its recovery ladder
+// (~0.2 s).
+TEST_P(EcoFuzzDegenerateTest, StreamMatchesFullRecomputation) {
+  const gen::DegenerateMode mode = GetParam();
+  run_eco_fuzz(gen::generate_degenerate_design(mode, 24, 3), 7,
+               mode == gen::DegenerateMode::kNearSingularCoupling,
+               /*requests=*/3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, EcoFuzzDegenerateTest,
+    ::testing::Values(gen::DegenerateMode::kNearSingularCoupling,
+                      gen::DegenerateMode::kInfeasibleRowCapacity,
+                      gen::DegenerateMode::kObstacleSaturatedRows),
+    [](const ::testing::TestParamInfo<gen::DegenerateMode>& info) {
+      std::string name = gen::to_string(info.param);
+      for (char& ch : name)
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      return name;
+    });
 
 }  // namespace
 }  // namespace mch::service

@@ -179,13 +179,16 @@ if [[ "$FAST" == 0 ]]; then
   cmake -B build-asan -S . -DMCH_ENABLE_ASAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   # The occupancy, allocation and legality suites ride along: flat sorted
-  # rows and CSR row offsets are index arithmetic that ASan checks.
+  # rows and CSR row offsets are index arithmetic that ASan checks. So do
+  # the model and session suites: the resident ECO patch remaps variable
+  # and constraint ids in place.
   ASAN_TARGETS=(
     lcp_mmsim_test lcp_mmsim_fused_test lcp_solver_test
     lcp_polish_test legal_mmsim_legalizer_test legal_partition_test
     linalg_csr_test
     legal_occupancy_test legal_occupancy_property_test legal_eviction_test
     legal_tetris_alloc_test db_legality_test legal_alloc_contract_test
+    legal_model_test legal_model_stream_test service_session_test
   )
   for t in "${ASAN_TARGETS[@]}"; do
     cmake --build build-asan -j4 --target "$t"
